@@ -2,8 +2,8 @@
 
 Subcommands: code, candidates, capacity, simulate, bound, allocate.
 Exit codes: 0 success, 2 usage error, 3 construction error, 4 numeric
-error.  All numeric output uses 12 significant digits; CSV output starts
-with a schema-version comment line.
+error (including float overflow), 5 I/O error.  All numeric output uses 12
+significant digits; CSV output starts with a schema-version comment line.
 """
 
 from __future__ import annotations
@@ -391,9 +391,12 @@ def main(argv=None) -> int:
     except ConstructionError as exc:
         print("construction error: %s" % exc, file=sys.stderr)
         return 3
-    except NumericError as exc:
+    except (NumericError, OverflowError) as exc:
         print("numeric error: %s" % exc, file=sys.stderr)
         return 4
+    except OSError as exc:
+        print("I/O error: %s" % exc, file=sys.stderr)
+        return 5
     except ValueError as exc:
         print("error: %s" % exc, file=sys.stderr)
         return 2

@@ -2,8 +2,11 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import stats
 
+from plbc import bounds
 from plbc.bounds import (
     BoundResult,
     WeightDistribution,
@@ -294,3 +297,228 @@ class TestDecodingFailureBound:
     def test_total_clamped(self):
         res = BoundResult(0.8, 0.7, 1.5, "general")
         assert res.total_clamped == 1.0
+
+
+# ---------------------------------------------------------------------------
+# scalar reference: the bound summed per u and per w with the documented
+# truncation, one logaddexp at a time; the numpy engine must agree with it
+# ---------------------------------------------------------------------------
+
+def _lae(a, b):
+    if a == -math.inf:
+        return b
+    if b == -math.inf:
+        return a
+    hi, lo = (a, b) if a >= b else (b, a)
+    return hi + math.log1p(math.exp(lo - hi))
+
+
+def scalar_log_tail(n, p, t_lo):
+    """log P(Bin(n, p) >= t_lo), term by term with the 45-nat cutoff."""
+    if t_lo <= 0:
+        return 0.0
+    if t_lo > n or p == 0.0:
+        return -math.inf
+    if p == 1.0:
+        return 0.0
+    cur = log_binom(n, t_lo) + t_lo * math.log(p) + (n - t_lo) * math.log1p(-p)
+    total = cur
+    for t in range(t_lo + 1, n + 1):
+        ratio = (n - t + 1) / t * (p / (1.0 - p))
+        cur += math.log(ratio)
+        total = _lae(total, cur)
+        if ratio < 0.9 and cur < total - 45.0:
+            break
+    return total
+
+
+def scalar_bound(params, wd, ch, truncate=True):
+    """(p_mask_and_fail, p_maskok_and_fail, u_tail_bound) of the general regime."""
+    n, t1, d0 = params.n, params.t1, params.d0
+    le, l1e = math.log(ch.epsilon), math.log1p(-ch.epsilon)
+    log_pmf = [log_binom(n, u) + u * le + (n - u) * l1e for u in range(n + 1)]
+    log_more = [-math.inf] * (n + 1)  # log P(U > u)
+    acc = -math.inf
+    for u in range(n, 0, -1):
+        acc = _lae(acc, log_pmf[u])
+        log_more[u - 1] = acc
+    log_counts = [float(x) for x in wd.log_counts]
+
+    def masking(u):
+        lcnu = log_binom(n, u)
+        acc = -math.inf
+        for w in range(1, u + 1):
+            if log_counts[w] > -math.inf:
+                acc = _lae(acc, log_counts[w] + log_binom(n - w, u - w) - lcnu)
+        return acc
+
+    def run(us, term):
+        total = -math.inf
+        for u in us:
+            total = _lae(total, term(u))
+            if truncate and total > -math.inf and log_more[u] < total + math.log(1e-3):
+                return total, math.exp(log_more[u])
+        return total, 0.0
+
+    term1, tail1 = run(
+        range(max(d0, 1), n + 1),
+        lambda u: log_pmf[u] + min(0.0, masking(u))
+        + scalar_log_tail(n - u, ch.p, t1 + d0 - u),
+    )
+    term2, tail2 = run(
+        range(n + 1), lambda u: log_pmf[u] + scalar_log_tail(n - u, ch.p, t1 + 1)
+    )
+    return math.exp(term1), math.exp(term2), max(tail1, tail2)
+
+
+def assert_matches_scalar(res, params, wd, ch):
+    p1, p2, tail = scalar_bound(params, wd, ch)
+    assert res.regime == "general"
+    assert res.p_mask_and_fail == pytest.approx(p1, rel=1e-12, abs=1e-300)
+    assert res.p_maskok_and_fail == pytest.approx(p2, rel=1e-12, abs=1e-300)
+    assert res.total == pytest.approx(p1 + p2, rel=1e-12, abs=1e-300)
+    assert res.u_tail_bound == tail
+
+
+class TestAgainstScalarReference:
+    def test_table2_all_points(self):
+        for eps, p in PRESET_CHANNELS.values():
+            ch = ChannelParams(eps, p)
+            for l in range(0, 101, 10):
+                params = params_for(1023, 923, l)
+                wd = None
+                if l:
+                    wd = weight_distribution(1023, l, params.d0, "binomial-approx")
+                res = decoding_failure_bound(params, wd, ch)
+                if eps == 0.0 or l == 0:
+                    q = p if eps == 0.0 else ch.p_tilde
+                    want = math.exp(scalar_log_tail(1023, q, params.t1 + 1))
+                    assert res.total == pytest.approx(want, rel=1e-12)
+                    assert res.u_tail_bound == 0.0
+                else:
+                    assert_matches_scalar(res, params, wd, ch)
+
+    @settings(max_examples=100, deadline=None, derandomize=True)
+    @given(
+        n=st.sampled_from([15, 63, 1023]),
+        split=st.integers(0, 10**6),
+        eps=st.floats(1e-4, 0.2),
+        p=st.one_of(st.just(0.0), st.floats(1e-5, 0.1)),
+    )
+    def test_random_channels(self, n, split, eps, p):
+        m = n.bit_length()
+        # at most ten m-steps of redundancy; at n = 15 only l = 4 and 8 have
+        # a masking code to enumerate
+        steps = 2 if n == 15 else min(10, (n - 1) // m)
+        a = 1 + split % steps  # l = a m, at least one step
+        b = (split // steps) % (steps - a + 1)  # r = b m
+        params = params_for(n, n - (a + b) * m, a * m)
+        if n == 1023:
+            eps, p = eps / 10, p / 10  # keep the reference's u-loop short
+        method = "exact-enumeration" if n == 15 else "binomial-approx"
+        wd = weight_distribution(n, params.l, params.d0, method)
+        ch = ChannelParams(eps, p)
+        assert_matches_scalar(decoding_failure_bound(params, wd, ch), params, wd, ch)
+
+    def test_masking_bound_matches_scalar(self):
+        wd = weight_distribution(1023, 20, 5, "binomial-approx")
+        lw = [float(x) for x in wd.log_counts]
+        for u in (0, 4, 5, 6, 20, 100, 1023):
+            acc = -math.inf
+            for w in range(1, u + 1):
+                if lw[w] > -math.inf:
+                    term = lw[w] + log_binom(1023 - w, u - w) - log_binom(1023, u)
+                    acc = _lae(acc, term)
+            want = min(1.0, math.exp(acc)) if acc > -math.inf else 0.0
+            got = masking_failure_bound(u, wd)
+            assert got == pytest.approx(want, rel=1e-12, abs=1e-300)
+
+
+class TestTruncationTail:
+    def test_both_tails_cover_the_gap(self):
+        # table2 channel 2 at l = 10: the sum left out (full - total) is
+        # larger than the one reported tail, and at most twice it
+        params = params_for(1023, 923, 10)
+        wd = weight_distribution(1023, 10, 3, "binomial-approx")
+        ch = ChannelParams(*PRESET_CHANNELS[2])
+        res = decoding_failure_bound(params, wd, ch)
+        p1, p2, _ = scalar_bound(params, wd, ch, truncate=False)
+        gap = (p1 + p2) - res.total
+        assert res.u_tail_bound < gap <= 2 * res.u_tail_bound
+
+
+def exact_log_binoms(n):
+    """math.log of C(n, w) for w = 0..n from exact integers."""
+    out, c = [0.0], 1
+    for w in range(1, n + 1):
+        c = c * (n - w + 1) // w
+        out.append(math.log(c))
+    return np.array(out)
+
+
+class TestLargeLengths:
+    @pytest.mark.parametrize("n", [2047, 4095, 65535])
+    def test_binomial_log_counts(self, n):
+        # l = m is left out: there ln C(n, n-1) - m ln 2 = ln(n/(n+1)) ~ -1/n,
+        # which no float evaluation holds to 1e-12 relative
+        m = n.bit_length()
+        exact = exact_log_binoms(n)
+        for l in (2 * m, 5 * m):
+            d0 = 2 * (l // m) + 1
+            wd = weight_distribution(n, l, d0, "binomial-approx")
+            lc = wd.log_counts
+            assert lc[0] == 0.0
+            assert np.all(lc[1:d0] == -np.inf)
+            assert np.all(np.isfinite(lc[d0:]))
+            want = exact[d0:] - l * math.log(2)
+            assert np.all(np.abs(lc[d0:] - want) <= 1e-12 * np.abs(want))
+
+    def test_counts_exact_where_finite(self):
+        wd = weight_distribution(2047, 22, 5, "binomial-approx")
+        assert wd.counts[5] == math.comb(2047, 5) / 2 ** 22
+        assert wd.counts[1000] == math.inf
+        assert wd.counts[2047] == 2.0 ** -22
+
+    def test_general_tends_to_epsilon_zero(self):
+        params = params_for(2047, 1937, 22)
+        wd = weight_distribution(2047, 22, 5, "binomial-approx")
+        gen = decoding_failure_bound(params, wd, ChannelParams(1e-12, 2e-3))
+        eps0 = decoding_failure_bound(params, wd, ChannelParams(0.0, 2e-3))
+        assert gen.regime == "general"
+        assert gen.total == pytest.approx(eps0.total, rel=1e-6)
+
+    def test_macwilliams_counts_overflow_to_inf(self):
+        # the whole space: A_w = C(n, w), past the float range mid-row
+        wd = weight_distribution(2047, 0, 0, "macwilliams")
+        assert wd.counts[1023] == math.inf
+        want = math.log(math.comb(2047, 1023))
+        assert wd.log_counts[1023] == pytest.approx(want, rel=1e-15)
+
+
+class TestCache:
+    def test_arrays_read_only(self):
+        wd = weight_distribution(1023, 20, 5, "binomial-approx")
+        with pytest.raises(ValueError):
+            wd.log_counts[5] = 0.0
+        with pytest.raises(ValueError):
+            wd.counts[5] = 0.0
+        with pytest.raises(AttributeError):
+            wd.n = 15
+        built = WeightDistribution(3, [1.0, 0.0, 3.0, 0.0], "exact-enumeration")
+        with pytest.raises(ValueError):
+            built.counts[1] = 1.0
+
+    def test_same_object_per_key(self):
+        a = weight_distribution(1023, 30, 7, "binomial-approx")
+        assert weight_distribution(1023, 30, 7, "binomial-approx") is a
+
+    def test_cold_and_warm_bounds_identical(self):
+        params = params_for(1023, 923, 30)
+        ch = ChannelParams(6e-3, 1e-3)
+        weight_distribution.cache_clear()
+        bounds._log_factorials.cache_clear()
+        cold = decoding_failure_bound(
+            params, weight_distribution(1023, 30, 7, "binomial-approx"), ch)
+        warm = decoding_failure_bound(
+            params, weight_distribution(1023, 30, 7, "binomial-approx"), ch)
+        assert cold == warm

@@ -229,6 +229,52 @@ class TestAllocate:
         )
         assert rc == 2
 
+    def test_n2047_by_bound(self, capsys):
+        rc, out, err = run_cli(
+            capsys, "allocate", "--n", "2047", "--k", "1937",
+            "--epsilon", "4e-3", "--p", "2e-3",
+        )
+        assert rc == 0, err
+        rep = json.loads(out)["reports"][0]
+        assert len(rep["candidates"]) == 11
+        assert all(c["metric"] > 0 for c in rep["candidates"])
+
+    def test_table2_output_survives_cache_clear(self, tmp_path):
+        from plbc.bounds import _log_factorials, weight_distribution
+
+        argv = ["allocate", "--preset", "table2", "--threads", "1", "--out"]
+        warm, cold = tmp_path / "warm.json", tmp_path / "cold.json"
+        assert main(argv + [str(warm)]) == 0
+        weight_distribution.cache_clear()
+        _log_factorials.cache_clear()
+        assert main(argv + [str(cold)]) == 0
+        assert warm.read_bytes() == cold.read_bytes()
+
+
+class TestExitCodes:
+    def test_unwritable_out_exit5(self, capsys, tmp_path):
+        out = tmp_path / "missing-dir" / "alloc.json"
+        rc, _, err = run_cli(
+            capsys, "allocate", "--n", "15", "--k", "7",
+            "--epsilon", "0.05", "--p", "0.01", "--out", str(out),
+        )
+        assert rc == 5
+        assert err.startswith("I/O error:")
+
+    def test_overflow_exit4(self, capsys, monkeypatch):
+        import plbc.cli
+
+        def overflow(*args, **kwargs):
+            raise OverflowError("int too large to convert to float")
+
+        monkeypatch.setattr(plbc.cli, "allocate", overflow)
+        rc, _, err = run_cli(
+            capsys, "allocate", "--n", "15", "--k", "7",
+            "--epsilon", "0.05", "--p", "0.01",
+        )
+        assert rc == 4
+        assert err.startswith("numeric error:")
+
 
 class TestThreadsEnv:
     def test_env_override_invalid(self, capsys, monkeypatch):
