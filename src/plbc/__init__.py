@@ -14,12 +14,10 @@ from .allocate import (
     enumerate_candidates,
 )
 from .bch import (
-    BchSpec,
     bch_generator,
     bch_parity_check,
     cyclotomic_coset,
     cyclotomic_cosets,
-    design_bch,
     field_for_length,
     minimal_polynomial,
 )
@@ -54,12 +52,13 @@ from .codec import (
     encode,
     mask_defects,
     mask_defects_one_step,
+    masking_polys,
     message_inverse,
     params_for,
     verify_distances,
 )
 from .errors import ConstructionError, NumericError
-from .gf2 import GF2m, BitMatrix, BitVector, rank, rref, solve_row_system
+from .gf2 import GF2m, BitMatrix, BitVector, rank, rref
 from .simulate import SimResult, run_trials, trial_rng, wilson_interval
 
 __version__ = "0.1.0"
@@ -67,7 +66,6 @@ __version__ = "0.1.0"
 __all__ = [
     "AllocationCandidate",
     "AllocationReport",
-    "BchSpec",
     "BitMatrix",
     "BitVector",
     "BoundResult",
@@ -94,7 +92,6 @@ __all__ = [
     "cyclotomic_cosets",
     "decode",
     "decoding_failure_bound",
-    "design_bch",
     "encode",
     "enumerate_candidates",
     "field_for_length",
@@ -104,6 +101,7 @@ __all__ = [
     "mask_defects",
     "mask_defects_one_step",
     "masking_failure_bound",
+    "masking_polys",
     "message_inverse",
     "minimal_polynomial",
     "params_for",
@@ -113,7 +111,6 @@ __all__ = [
     "run_trials",
     "sample_defects",
     "sample_errors",
-    "solve_row_system",
     "transmit",
     "trial_rng",
     "verify_distances",

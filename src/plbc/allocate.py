@@ -100,13 +100,17 @@ class AllocationReport:
         return out
 
 
+def _field_degree(n: int, m: int | None) -> int:
+    """The field degree m of length n; a given m must match it."""
+    expected = field_for_length(n).m
+    if m is not None and m != expected:
+        raise ValueError("m=%d does not match n=%d (expected %d)" % (m, n, expected))
+    return expected
+
+
 def enumerate_candidates(n: int, k: int, m: int | None = None) -> list[AllocationCandidate]:
     """All (l, r) splits of n - k with both parts multiples of m, l ascending."""
-    fld = field_for_length(n)
-    if m is None:
-        m = fld.m
-    elif m != fld.m:
-        raise ValueError("m=%d does not match n=%d (expected %d)" % (m, n, fld.m))
+    m = _field_degree(n, m)
     if (n - k) % m:
         raise ValueError("redundancy n-k=%d is not a multiple of m=%d" % (n - k, m))
     return [

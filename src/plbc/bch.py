@@ -16,13 +16,11 @@ from .errors import ConstructionError
 from .gf2 import BitMatrix, GF2m, poly_degree, poly_mul
 
 __all__ = [
-    "BchSpec",
     "CyclotomicCoset",
     "bch_generator",
     "bch_parity_check",
     "cyclotomic_coset",
     "cyclotomic_cosets",
-    "design_bch",
     "minimal_polynomial",
 ]
 
@@ -119,22 +117,6 @@ def bch_generator(n: int, delta: int, field: GF2m | None = None) -> int:
         seen.add(coset.leader)
         g = poly_mul(g, minimal_polynomial(j, field))
     return g
-
-
-@dataclass(frozen=True)
-class BchSpec:
-    n: int
-    designed_distance: int
-    generator: int
-    parity_rows: int
-
-
-def design_bch(n: int, delta: int, field: GF2m | None = None) -> BchSpec:
-    if field is None:
-        field = field_for_length(n)
-    g = bch_generator(n, delta, field)
-    deg = poly_degree(g)
-    return BchSpec(n, delta, g, 0 if deg is None else deg)
 
 
 def bch_parity_check(n: int, delta: int, field: GF2m) -> BitMatrix:

@@ -22,11 +22,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bch import bch_generator, field_for_length
 from .channel import ChannelParams
-from .codec import PlbcParams
-from .errors import ConstructionError, NumericError
-from .gf2 import poly_degree, poly_divmod, poly_reciprocal
+from .codec import PlbcParams, masking_polys
+from .errors import NumericError
 
 __all__ = [
     "BoundResult",
@@ -291,24 +289,15 @@ def _span_weight_counts(row_ints: list[int], n: int) -> list[int]:
     return counts
 
 
-def _mask_check_generator(n: int, l: int, d0: int) -> int:
-    field = field_for_length(n)
-    hstar = bch_generator(n, d0 if d0 else 1, field)
-    if (poly_degree(hstar) or 0) != l:
-        raise ConstructionError(
-            "no masking code with l=%d, d0=%d at n=%d (generator degree %s)"
-            % (l, d0, n, poly_degree(hstar))
-        )
-    return hstar
-
-
 @functools.lru_cache(maxsize=32)
 def weight_distribution(n: int, l: int, d0: int, method: str) -> WeightDistribution:
     """A_w for the [n, n-l] code whose parity check is the masking generator.
 
     Methods: 'exact-enumeration' walks all 2^(n-l) codewords,
     'macwilliams' enumerates the 2^l dual and transforms, and
-    'binomial-approx' uses A_w = C(n, w) 2^(-l) above d0.  Results are
+    'binomial-approx' uses A_w = C(n, w) 2^(-l) above d0.  The two exact
+    methods take (h*, p) from ``codec.masking_polys`` and raise its
+    ConstructionError when no such masking code exists.  Results are
     memoised per (n, l, d0, method); the returned object is shared and
     read-only.
     """
@@ -327,17 +316,13 @@ def weight_distribution(n: int, l: int, d0: int, method: str) -> WeightDistribut
     if method == "exact-enumeration":
         if n - l > 24:
             raise ValueError("exact enumeration is limited to 2^24 codewords")
-        hstar = _mask_check_generator(n, l, d0)
+        hstar, _ = masking_polys(n, l, d0)
         rows = [hstar << i for i in range(n - l)]
         return _exact_wd(n, _span_weight_counts(rows, n), method)
     if method == "macwilliams":
         if l > 24:
             raise ValueError("dual enumeration is limited to 2^24 codewords")
-        hstar = _mask_check_generator(n, l, d0)
-        h = poly_reciprocal(hstar)
-        p_poly, rem = poly_divmod((1 << n) | 1, h)
-        if rem:
-            raise ConstructionError("mask check does not divide x^n - 1")
+        _, p_poly = masking_polys(n, l, d0)
         rows = [p_poly << i for i in range(l)]
         counts = _macwilliams_ints(n, _span_weight_counts(rows, n))
         return _exact_wd(n, counts, method)

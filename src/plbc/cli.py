@@ -13,7 +13,7 @@ import json
 import os
 import sys
 
-from .allocate import allocate, enumerate_candidates
+from .allocate import _field_degree, allocate, enumerate_candidates
 from .bounds import (
     capacity_max,
     capacity_min,
@@ -72,15 +72,22 @@ def _write_text(text: str, out: str | None) -> None:
         sys.stdout.write(text)
 
 
-def _csv_text(schema: str, header: list[str], rows: list[list]) -> str:
-    lines = ["# schema=plbc.%s.v1" % schema, ",".join(header)]
-    for row in rows:
-        lines.append(",".join(_fmt(v) for v in row))
-    return "\n".join(lines) + "\n"
-
-
 def _json_text(obj) -> str:
     return json.dumps(_round12(obj), indent=2) + "\n"
+
+
+def _emit(args, schema: str, header: list[str], rows: list[list]) -> None:
+    """Write rows as CSV (schema comment line, header) or as JSON objects."""
+    if args.format == "json":
+        obj = {
+            "schema": "plbc.%s.v1" % schema,
+            "rows": [dict(zip(header, row)) for row in rows],
+        }
+        _write_text(_json_text(obj), args.out)
+        return
+    lines = ["# schema=plbc.%s.v1" % schema, ",".join(header)]
+    lines += [",".join(_fmt(v) for v in row) for row in rows]
+    _write_text("\n".join(lines) + "\n", args.out)
 
 
 def _default_threads() -> int:
@@ -116,11 +123,7 @@ def _sweep_params(args):
     """Candidate parameter sets for --l (single) or the full l-sweep."""
     if args.l is not None:
         params = params_for(args.n, args.k, args.l)
-        if args.m is not None and args.m != params.m:
-            raise ValueError(
-                "m=%d does not match n=%d (expected %d)"
-                % (args.m, args.n, params.m)
-            )
+        _field_degree(args.n, args.m)
         return [params]
     return [c.params for c in enumerate_candidates(args.n, args.k, args.m)]
 
@@ -140,19 +143,7 @@ def _cmd_code(args) -> int:
 def _cmd_candidates(args) -> int:
     cands = enumerate_candidates(args.n, args.k, args.m)
     rows = [[c.index, c.l, c.r, c.d0, c.d1] for c in cands]
-    if args.format == "json":
-        obj = {
-            "schema": "plbc.candidates.v1",
-            "rows": [
-                dict(zip(("index", "l", "r", "d0", "d1"), row)) for row in rows
-            ],
-        }
-        _write_text(_json_text(obj), args.out)
-    else:
-        _write_text(
-            _csv_text("candidates", ["index", "l", "r", "d0", "d1"], rows),
-            args.out,
-        )
+    _emit(args, "candidates", ["index", "l", "r", "d0", "d1"], rows)
     return 0
 
 
@@ -163,14 +154,7 @@ def _cmd_capacity(args) -> int:
             [cid, ch.epsilon, ch.p, ch.p_tilde, capacity_min(ch), capacity_max(ch)]
         )
     header = ["channel_id", "epsilon", "p", "p_tilde", "c_min", "c_max"]
-    if args.format == "json":
-        obj = {
-            "schema": "plbc.capacity.v1",
-            "rows": [dict(zip(header, row)) for row in rows],
-        }
-        _write_text(_json_text(obj), args.out)
-    else:
-        _write_text(_csv_text("capacity", header, rows), args.out)
+    _emit(args, "capacity", header, rows)
     return 0
 
 
@@ -195,14 +179,7 @@ def _cmd_simulate(args) -> int:
         "channel_id", "epsilon", "p", "l", "r", "trials",
         "mask_fails", "dec_fails", "rate", "ci_lo", "ci_hi", "seed",
     ]
-    if args.format == "json":
-        obj = {
-            "schema": "plbc.simulate.v1",
-            "rows": [dict(zip(header, row)) for row in rows],
-        }
-        _write_text(_json_text(obj), args.out)
-    else:
-        _write_text(_csv_text("simulate", header, rows), args.out)
+    _emit(args, "simulate", header, rows)
     return 0
 
 
@@ -224,14 +201,7 @@ def _cmd_bound(args) -> int:
         "channel_id", "epsilon", "p", "l", "r", "d0", "d1", "aw_method",
         "bound_mask_fail", "bound_maskok_fail", "bound_total",
     ]
-    if args.format == "json":
-        obj = {
-            "schema": "plbc.bound.v1",
-            "rows": [dict(zip(header, row)) for row in rows],
-        }
-        _write_text(_json_text(obj), args.out)
-    else:
-        _write_text(_csv_text("bound", header, rows), args.out)
+    _emit(args, "bound", header, rows)
     return 0
 
 
@@ -261,7 +231,7 @@ def _cmd_allocate(args) -> int:
             "channel_id", "l", "r", "d0", "d1", "metric",
             "ci_lo", "ci_hi", "note", "best",
         ]
-        _write_text(_csv_text("allocate", header, rows), args.out)
+        _emit(args, "allocate", header, rows)
     else:
         obj = {
             "schema": "plbc.allocate.v1",

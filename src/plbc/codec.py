@@ -9,7 +9,9 @@ The construction is cyclic and nested: g generates C, the reciprocal route
 through h* = bch_generator(n, d0) produces p = (x^n - 1)/h with g | p, and
 C0 = <p>.  The code whose parity check is the masking generator G0 is then
 exactly the BCH code <h*>, so any d0 - 1 columns of G0 are independent and
-the restricted masking step always has a solution.
+the restricted masking step always has a solution.  ``masking_polys`` is the
+one derivation of (h*, p): the codec and the weight distributions of
+``plbc.bounds`` both take the masking code from it.
 """
 
 from __future__ import annotations
@@ -45,6 +47,7 @@ __all__ = [
     "encode",
     "mask_defects",
     "mask_defects_one_step",
+    "masking_polys",
     "message_inverse",
     "verify_distances",
 ]
@@ -125,37 +128,34 @@ class DecodeOutcome:
     z_weight: int
 
 
+@dataclass(eq=False)
 class PbchCode:
-    """A constructed partitioned BCH code with cached decoding tables."""
+    """A constructed partitioned BCH code with cached decoding tables.
 
-    def __init__(
-        self,
-        params: PlbcParams,
-        field: GF2m,
-        g_poly: int,
-        p_poly: int,
-        hstar_poly: int,
-        gen_message: BitMatrix,
-        gen_mask: BitMatrix,
-        parity: BitMatrix,
-        msg_inverse: BitMatrix,
-    ):
-        self.params = params
-        self.field = field
-        self.g_poly = g_poly
-        self.p_poly = p_poly
-        self._hstar_poly = hstar_poly
-        self.gen_message = gen_message
-        self.gen_mask = gen_mask
-        self.parity = parity
-        self.msg_inverse = msg_inverse
-        # hot-path caches
-        self._mask_cols = gen_mask.column_ints() if params.l else [0] * params.n
+    g_poly generates C; hstar_poly and p_poly are the masking code's (h*, p)
+    from ``masking_polys``, and the masking rows G0 are p(x) x^i.  The
+    decoding and masking tables are built once, from the fields, when the
+    code is created.
+    """
+
+    params: PlbcParams
+    field: GF2m
+    g_poly: int
+    p_poly: int
+    hstar_poly: int
+    gen_message: BitMatrix
+    gen_mask: BitMatrix
+    parity: BitMatrix
+    msg_inverse: BitMatrix
+
+    def __post_init__(self):
+        params, field, g = self.params, self.field, self.g_poly
+        self._mask_cols = self.gen_mask.column_ints() if params.l else [0] * params.n
         # gen_message rows are g << i, so w * G1 is the product w(x) g(x)
-        self._g_taps = [i for i in range(g_poly.bit_length()) if (g_poly >> i) & 1]
+        self._g_taps = [i for i in range(g.bit_length()) if (g >> i) & 1]
         self._syn_exponents = np.arange(1, 2 * params.t1 + 1, dtype=np.int64)
         self._exp_np = field.exp_np
-        self._positions = np.arange(params.n, dtype=np.int64)
+        positions = np.arange(params.n, dtype=np.int64)
         # odd syndromes S_1, S_3, ..., S_{2t1-1} as GF(2) parities: row
         # j*m + b holds bit b of alpha^((2j+1)i) over the positions i
         self._syn_rows = _odd_syndrome_rows(field, params.t1)
@@ -164,7 +164,7 @@ class PbchCode:
         # locator term alpha^(log c + kk*i) is one lookup with no reduction
         self._exp2_np = np.array(field.exp, dtype=np.int64)
         self._chien_pows = (
-            np.arange(params.t1 + 1, dtype=np.int64)[:, None] * self._positions
+            np.arange(params.t1 + 1, dtype=np.int64)[:, None] * positions
         ) % params.n
 
     @property
@@ -235,14 +235,34 @@ def message_inverse(gen_message: BitMatrix, gen_mask: BitMatrix) -> BitMatrix:
     return BitMatrix.from_dense(dense)
 
 
+def masking_polys(n: int, l: int, d0: int) -> tuple[int, int]:
+    """(h*, p) of the masking code with l check cells and distance d0.
+
+    h* = bch_generator(n, d0) (1 when l = 0) generates the code whose parity
+    check is the masking generator; p = (x^n - 1)/h with h = reciprocal(h*)
+    generates the masking rows.  Raises ConstructionError when deg h* != l
+    (a short cyclotomic coset) or h does not divide x^n - 1.
+    """
+    hstar = bch_generator(n, d0 or 1)
+    hdeg = poly_degree(hstar) or 0
+    if hdeg != l:
+        raise ConstructionError(
+            "mask-check degree %d != l=%d at n=%d d0=%d (short cyclotomic coset)"
+            % (hdeg, l, n, d0)
+        )
+    p, rem = poly_divmod((1 << n) | 1, poly_reciprocal(hstar))
+    if rem:
+        raise ConstructionError("reciprocal mask check does not divide x^n - 1")
+    return hstar, p
+
+
 def construct_pbch(n: int, k: int, l: int) -> PbchCode:
     """Build the nested-BCH partitioned code for (n, k, l).
 
-    g = bch_generator(n, d1) spans C; h* = bch_generator(n, d0) determines
-    the masking part via h = reciprocal(h*), p = (x^n - 1)/h, C0 = <p>.
-    Fails loudly when the redundancies are not multiples of m, when a
-    cyclotomic coset falls short (degree mismatch), or when g and h share
-    roots (C0 would not nest inside C).
+    g = bch_generator(n, d1) spans C; the masking part C0 = <p> comes from
+    ``masking_polys``.  Fails loudly when the redundancies are not multiples
+    of m, when a cyclotomic coset falls short (degree mismatch), or when g
+    and h share roots (C0 would not nest inside C).
     """
     params = params_for(n, k, l)
     field = field_for_length(n)
@@ -254,13 +274,7 @@ def construct_pbch(n: int, k: int, l: int) -> PbchCode:
             "generator degree %d != r=%d at n=%d d1=%d (short cyclotomic coset)"
             % (gdeg, params.r, n, params.d1)
         )
-    hstar = bch_generator(n, params.d0 if params.l else 1, field)
-    hdeg = poly_degree(hstar) or 0
-    if hdeg != params.l:
-        raise ConstructionError(
-            "mask-check degree %d != l=%d at n=%d d0=%d (short cyclotomic coset)"
-            % (hdeg, params.l, n, params.d0)
-        )
+    hstar, p = masking_polys(n, params.l, params.d0)
 
     if params.r and params.l:
         g_leaders = {cyclotomic_coset(j, n).leader for j in range(1, params.d1)}
@@ -275,14 +289,8 @@ def construct_pbch(n: int, k: int, l: int) -> PbchCode:
                 "the masking code would not nest inside the outer code" % shared
             )
 
-    h = poly_reciprocal(hstar)
-    xn1 = (1 << n) | 1
-    p, rem = poly_divmod(xn1, h)
-    if rem:
-        raise ConstructionError("reciprocal mask check does not divide x^n - 1")
-    if params.r:
-        if poly_divmod(p, g)[1]:
-            raise ConstructionError("masking generator is not a multiple of g")
+    if params.r and poly_divmod(p, g)[1]:
+        raise ConstructionError("masking generator is not a multiple of g")
 
     gen_message = BitMatrix.from_row_ints([g << i for i in range(k)], n)
     gen_mask = BitMatrix.from_row_ints([p << i for i in range(l)], n)
@@ -344,35 +352,26 @@ def _mask_system(code: PbchCode, w: BitVector, s: DefectVector) -> tuple[int, li
     return c1, aug
 
 
-def _mask_core(code: PbchCode, w: BitVector, s: DefectVector) -> tuple[int, int, int, int]:
-    """Shared masking path: returns (codeword int, d, unmasked, step)."""
-    c1, aug = _mask_system(code, w, s)
-    d, unmasked, step = _solve_mask(code, aug)
-    c = c1
-    rest = d
-    while rest:
-        low = rest & -rest
-        c ^= code.p_poly << (low.bit_length() - 1)
-        rest ^= low
-    return c, d, unmasked, step
+def _solve_mask(code: PbchCode, aug: list[int], two_step: bool) -> tuple[int, int, int]:
+    """Masking vector d, stuck cells left unmasked, and the step used.
 
-
-def _solve_mask(code: PbchCode, aug: list[int]) -> tuple[int, int, int]:
-    params = code.params
-    l = params.l
-    d = _solve_aug_rows(aug, l)
-    if d is not None:
-        return d, 0, 1
-    # step 2: the first d0 - 1 stuck positions always admit a solution
-    keep = min(max(params.d0 - 1, 0), len(aug))
+    Two-step masking first solves the whole system (step 1).  Otherwise, and
+    when that system is inconsistent, it solves the first d0 - 1 rows, which
+    always admit a solution; the step is 2 whenever rows were left out.
+    """
+    l = code.params.l
+    if two_step:
+        d = _solve_aug_rows(aug, l)
+        if d is not None:
+            return d, 0, 1
+    keep = min(max(code.params.d0 - 1, 0), len(aug))
     d = _solve_aug_rows(aug[:keep], l)
     if d is None:
         raise AssertionError("restricted masking system must be solvable")
-    unmasked = _residual_weight(code, d, aug, l)
-    return d, unmasked, 2
+    return d, _residual_weight(d, aug, l), 1 if keep == len(aug) else 2
 
 
-def _residual_weight(code, d, aug, l) -> int:
+def _residual_weight(d: int, aug: list[int], l: int) -> int:
     rhs = 1 << l
     count = 0
     for row in aug:
@@ -391,23 +390,15 @@ def mask_defects(code: PbchCode, w: BitVector, s: DefectVector) -> MaskResult:
     positions (ascending cell index), which is always consistent, and the
     remaining mismatches are left for the decoder.
     """
-    _check_encode_args(code, w, s)
-    _, d, unmasked, step = _mask_core(code, w, s)
-    return MaskResult(BitVector.from_int(code.params.l, d), unmasked, step)
+    return encode(code, w, s)[1]
 
 
 def mask_defects_one_step(code: PbchCode, w: BitVector, s: DefectVector) -> MaskResult:
     """Baseline single-step masking: solve only the first min(d0-1, u) cells."""
     _check_encode_args(code, w, s)
-    params = code.params
-    l = params.l
     _, aug = _mask_system(code, w, s)
-    keep = min(max(params.d0 - 1, 0), len(aug))
-    d = _solve_aug_rows(aug[:keep], l)
-    if d is None:
-        raise AssertionError("restricted masking system must be solvable")
-    unmasked = _residual_weight(code, d, aug, l)
-    return MaskResult(BitVector.from_int(l, d), unmasked, 1 if keep == len(aug) else 2)
+    d, unmasked, step = _solve_mask(code, aug, two_step=False)
+    return MaskResult(BitVector.from_int(code.params.l, d), unmasked, step)
 
 
 def _check_encode_args(code: PbchCode, w: BitVector, s: DefectVector) -> None:
@@ -420,7 +411,13 @@ def _check_encode_args(code: PbchCode, w: BitVector, s: DefectVector) -> None:
 def encode(code: PbchCode, w: BitVector, s: DefectVector) -> tuple[BitVector, MaskResult]:
     """Encode w given known defects s; returns the codeword and mask choice."""
     _check_encode_args(code, w, s)
-    c, d, unmasked, step = _mask_core(code, w, s)
+    c, aug = _mask_system(code, w, s)
+    d, unmasked, step = _solve_mask(code, aug, two_step=True)
+    rest = d
+    while rest:
+        low = rest & -rest
+        c ^= code.p_poly << (low.bit_length() - 1)
+        rest ^= low
     return (
         BitVector.from_int(code.params.n, c),
         MaskResult(BitVector.from_int(code.params.l, d), unmasked, step),
@@ -602,7 +599,7 @@ def verify_distances(code: PbchCode) -> tuple[int, int]:
     if p.l == 0:
         d0_true = 0
     else:
-        rows = [code._hstar_poly << i for i in range(p.n - p.l)]
+        rows = [code.hstar_poly << i for i in range(p.n - p.l)]
         d0_true = _gray_min_weight(rows)
     if p.r == 0:
         d1_true = 0

@@ -27,7 +27,6 @@ __all__ = [
     "poly_reciprocal",
     "rank",
     "rref",
-    "solve_row_system",
 ]
 
 # Primitive polynomials over GF(2), one per extension degree.  Bit i is the
@@ -507,20 +506,3 @@ def _solve_aug_rows(rows: list[int], width: int) -> int | None:
         if rows[i] & rhs:
             x |= 1 << col
     return x
-
-
-def solve_row_system(a: BitMatrix, b: BitVector) -> BitVector | None:
-    """Solve ``x * a = b`` for x, or return None when inconsistent.
-
-    ``a`` is l x u and ``b`` has length u.  Free variables are set to zero,
-    so the returned solution is deterministic.
-    """
-    if b.n != a.cols:
-        raise ValueError("right-hand side length must equal column count")
-    cols = a.column_ints()
-    bb = b.bits()
-    aug = [cols[j] | (int(bb[j]) << a.rows) for j in range(a.cols)]
-    x = _solve_aug_rows(aug, a.rows)
-    if x is None:
-        return None
-    return BitVector.from_int(a.rows, x)

@@ -9,6 +9,7 @@ block boundary, in block order.
 
 from __future__ import annotations
 
+import os
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
@@ -130,6 +131,15 @@ def _worker_block(bounds):
     return _block_counts(code, ch, seed, stream, *bounds)
 
 
+def _worker_count(threads: int, blocks: int) -> int:
+    """Worker processes to start: at most one per block and one per core.
+
+    A process pool forks all its workers at the first submit, so asking
+    for more than there are blocks or cores only adds idle processes.
+    """
+    return max(1, min(threads, blocks, os.cpu_count() or 1))
+
+
 def run_trials(
     code: PbchCode,
     ch: ChannelParams,
@@ -157,7 +167,8 @@ def run_trials(
     ]
     t0 = time.perf_counter()
     mask = dec = joint = executed = 0
-    if threads <= 1 or len(blocks) == 1:
+    workers = _worker_count(threads, len(blocks))
+    if workers == 1:
         for lo, hi in blocks:
             bm, bd, bj = _block_counts(code, ch, seed, stream, lo, hi)
             mask += bm
@@ -168,7 +179,7 @@ def run_trials(
                 break
     else:
         with ProcessPoolExecutor(
-            max_workers=threads,
+            max_workers=workers,
             initializer=_init_worker,
             initargs=(code, ch, seed, stream),
         ) as pool:

@@ -5,7 +5,6 @@ from plbc.bch import (
     bch_parity_check,
     cyclotomic_coset,
     cyclotomic_cosets,
-    design_bch,
     field_for_length,
     minimal_polynomial,
 )
@@ -133,11 +132,3 @@ class TestParityCheck:
         with pytest.raises(ConstructionError):
             bch_parity_check(15, 11, f)
 
-
-class TestDesign:
-    def test_design_spec(self):
-        spec = design_bch(15, 5)
-        assert spec.n == 15
-        assert spec.designed_distance == 5
-        assert spec.generator == 465
-        assert spec.parity_rows == 8

@@ -20,11 +20,302 @@ index,l,r,d0,d1
 10,100,0,21,0
 """
 
+# Exact stdout of each emitting subcommand on the (15, 7) family at
+# epsilon = 0.1, p = 0.02 (simulate: 1024 trials, seed 3, one thread);
+# capacity uses the table2 preset.
+_CH = ["--epsilon", "0.1", "--p", "0.02"]
+GOLDEN_ARGV = {
+    "candidates": ["candidates", "--n", "15", "--k", "7"],
+    "capacity": ["capacity", "--preset", "table2"],
+    "bound": ["bound", "--n", "15", "--k", "7", *_CH],
+    "simulate": ["simulate", "--n", "15", "--k", "7", *_CH,
+                 "--trials", "1024", "--seed", "3", "--threads", "1"],
+    "allocate": ["allocate", "--n", "15", "--k", "7", *_CH, "--threads", "1"],
+}
+GOLDEN_OUTPUT = {
+    ("candidates", "csv"): """\
+# schema=plbc.candidates.v1
+index,l,r,d0,d1
+0,0,8,0,5
+1,4,4,3,3
+2,8,0,5,0
+""",
+    ("candidates", "json"): """\
+{
+  "schema": "plbc.candidates.v1",
+  "rows": [
+    {
+      "index": 0,
+      "l": 0,
+      "r": 8,
+      "d0": 0,
+      "d1": 5
+    },
+    {
+      "index": 1,
+      "l": 4,
+      "r": 4,
+      "d0": 3,
+      "d1": 3
+    },
+    {
+      "index": 2,
+      "l": 8,
+      "r": 0,
+      "d0": 5,
+      "d1": 0
+    }
+  ]
+}
+""",
+    ("capacity", "csv"): """\
+# schema=plbc.capacity.v1
+channel_id,epsilon,p,p_tilde,c_min,c_max
+1,0,0.004,0.004,0.962377639678,0.962377639678
+2,0.002,0.003,0.003994,0.962425406211,0.968594876259
+3,0.003,0.0025,0.0039925,0.962437349883,0.971863769705
+4,0.004,0.002,0.003992,0.962441331289,0.97526918495
+5,0.006,0.001,0.003994,0.962425406211,0.982660688809
+6,0.007,0.0005,0.0039965,0.962405501903,0.986839369119
+7,0.008,0,0.004,0.962377639678,0.992
+""",
+    ("capacity", "json"): """\
+{
+  "schema": "plbc.capacity.v1",
+  "rows": [
+    {
+      "channel_id": 1,
+      "epsilon": 0.0,
+      "p": 0.004,
+      "p_tilde": 0.004,
+      "c_min": 0.962377639678,
+      "c_max": 0.962377639678
+    },
+    {
+      "channel_id": 2,
+      "epsilon": 0.002,
+      "p": 0.003,
+      "p_tilde": 0.003994,
+      "c_min": 0.962425406211,
+      "c_max": 0.968594876259
+    },
+    {
+      "channel_id": 3,
+      "epsilon": 0.003,
+      "p": 0.0025,
+      "p_tilde": 0.0039925,
+      "c_min": 0.962437349883,
+      "c_max": 0.971863769705
+    },
+    {
+      "channel_id": 4,
+      "epsilon": 0.004,
+      "p": 0.002,
+      "p_tilde": 0.003992,
+      "c_min": 0.962441331289,
+      "c_max": 0.97526918495
+    },
+    {
+      "channel_id": 5,
+      "epsilon": 0.006,
+      "p": 0.001,
+      "p_tilde": 0.003994,
+      "c_min": 0.962425406211,
+      "c_max": 0.982660688809
+    },
+    {
+      "channel_id": 6,
+      "epsilon": 0.007,
+      "p": 0.0005,
+      "p_tilde": 0.0039965,
+      "c_min": 0.962405501903,
+      "c_max": 0.986839369119
+    },
+    {
+      "channel_id": 7,
+      "epsilon": 0.008,
+      "p": 0.0,
+      "p_tilde": 0.004,
+      "c_min": 0.962377639678,
+      "c_max": 0.992
+    }
+  ]
+}
+""",
+    ("bound", "csv"): """\
+# schema=plbc.bound.v1
+channel_id,epsilon,p,l,r,d0,d1,aw_method,bound_mask_fail,bound_maskok_fail,bound_total
+0,0.1,0.02,0,8,0,5,none,0,0.0773497771481,0.0773497771481
+0,0.1,0.02,4,4,3,3,binomial-approx,0.027832687395,0.0291208714062,0.0569535588011
+0,0.1,0.02,8,0,5,0,binomial-approx,0.000139320178308,0.23849139549,0.238630715668
+""",
+    ("bound", "json"): """\
+{
+  "schema": "plbc.bound.v1",
+  "rows": [
+    {
+      "channel_id": 0,
+      "epsilon": 0.1,
+      "p": 0.02,
+      "l": 0,
+      "r": 8,
+      "d0": 0,
+      "d1": 5,
+      "aw_method": "none",
+      "bound_mask_fail": 0.0,
+      "bound_maskok_fail": 0.0773497771481,
+      "bound_total": 0.0773497771481
+    },
+    {
+      "channel_id": 0,
+      "epsilon": 0.1,
+      "p": 0.02,
+      "l": 4,
+      "r": 4,
+      "d0": 3,
+      "d1": 3,
+      "aw_method": "binomial-approx",
+      "bound_mask_fail": 0.027832687395,
+      "bound_maskok_fail": 0.0291208714062,
+      "bound_total": 0.0569535588011
+    },
+    {
+      "channel_id": 0,
+      "epsilon": 0.1,
+      "p": 0.02,
+      "l": 8,
+      "r": 0,
+      "d0": 5,
+      "d1": 0,
+      "aw_method": "binomial-approx",
+      "bound_mask_fail": 0.000139320178308,
+      "bound_maskok_fail": 0.23849139549,
+      "bound_total": 0.238630715668
+    }
+  ]
+}
+""",
+    ("simulate", "csv"): """\
+# schema=plbc.simulate.v1
+channel_id,epsilon,p,l,r,trials,mask_fails,dec_fails,rate,ci_lo,ci_hi,seed
+0,0.1,0.02,0,8,1024,555,69,0.0673828125,0.0535892404419,0.0844101150068,3
+0,0.1,0.02,4,4,1024,23,35,0.0341796875,0.0246775143918,0.0471637780439,3
+0,0.1,0.02,8,0,1024,0,237,0.2314453125,0.206645700323,0.258252319425,3
+""",
+    ("simulate", "json"): """\
+{
+  "schema": "plbc.simulate.v1",
+  "rows": [
+    {
+      "channel_id": 0,
+      "epsilon": 0.1,
+      "p": 0.02,
+      "l": 0,
+      "r": 8,
+      "trials": 1024,
+      "mask_fails": 555,
+      "dec_fails": 69,
+      "rate": 0.0673828125,
+      "ci_lo": 0.0535892404419,
+      "ci_hi": 0.0844101150068,
+      "seed": 3
+    },
+    {
+      "channel_id": 0,
+      "epsilon": 0.1,
+      "p": 0.02,
+      "l": 4,
+      "r": 4,
+      "trials": 1024,
+      "mask_fails": 23,
+      "dec_fails": 35,
+      "rate": 0.0341796875,
+      "ci_lo": 0.0246775143918,
+      "ci_hi": 0.0471637780439,
+      "seed": 3
+    },
+    {
+      "channel_id": 0,
+      "epsilon": 0.1,
+      "p": 0.02,
+      "l": 8,
+      "r": 0,
+      "trials": 1024,
+      "mask_fails": 0,
+      "dec_fails": 237,
+      "rate": 0.2314453125,
+      "ci_lo": 0.206645700323,
+      "ci_hi": 0.258252319425,
+      "seed": 3
+    }
+  ]
+}
+""",
+    ("allocate", "csv"): """\
+# schema=plbc.allocate.v1
+channel_id,l,r,d0,d1,metric,ci_lo,ci_hi,note,best
+0,0,8,0,5,0.0773497771481,,,,0
+0,4,4,3,3,0.0569535588011,,,,1
+0,8,0,5,0,0.238630715668,,,,0
+""",
+    ("allocate", "json"): """\
+{
+  "schema": "plbc.allocate.v1",
+  "reports": [
+    {
+      "channel_id": 0,
+      "channel": {
+        "epsilon": 0.1,
+        "p": 0.02,
+        "c_min": 0.641584675361,
+        "c_max": 0.772703511712,
+        "p_tilde": 0.068
+      },
+      "method": "bound",
+      "candidates": [
+        {
+          "l": 0,
+          "r": 8,
+          "d0": 0,
+          "d1": 5,
+          "metric": 0.0773497771481
+        },
+        {
+          "l": 4,
+          "r": 4,
+          "d0": 3,
+          "d1": 3,
+          "metric": 0.0569535588011
+        },
+        {
+          "l": 8,
+          "r": 0,
+          "d0": 5,
+          "d1": 0,
+          "metric": 0.238630715668
+        }
+      ],
+      "best_l": 4,
+      "best_r": 4
+    }
+  ]
+}
+""",
+
+}
+
 
 def run_cli(capsys, *argv):
     rc = main(list(argv))
     out = capsys.readouterr()
     return rc, out.out, out.err
+
+
+@pytest.mark.parametrize("command,fmt", sorted(GOLDEN_OUTPUT))
+def test_golden_output(capsys, command, fmt):
+    rc, out, err = run_cli(capsys, *GOLDEN_ARGV[command], "--format", fmt)
+    assert rc == 0, err
+    assert out == GOLDEN_OUTPUT[command, fmt]
 
 
 class TestCode:

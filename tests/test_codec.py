@@ -2,14 +2,18 @@ import itertools
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from plbc.channel import DefectVector
+from plbc.bounds import weight_distribution
+from plbc.channel import DefectVector, transmit
 from plbc.codec import (
     construct_pbch,
     decode,
     encode,
     mask_defects,
     mask_defects_one_step,
+    masking_polys,
     params_for,
     verify_distances,
 )
@@ -295,3 +299,58 @@ class TestDecode:
     def test_decode_arg_validation(self, code15):
         with pytest.raises(ValueError):
             decode(code15, BitVector(14))
+
+
+@st.composite
+def plbc_shapes(draw):
+    """A valid (n, k, l): l and r = n - k - l multiples of m, k >= 1."""
+    n = draw(st.sampled_from([15, 31, 63, 127]))
+    m = n.bit_length()
+    units = (n - 1) // m
+    t0 = draw(st.integers(0, units))
+    t1 = draw(st.integers(0, units - t0))
+    return n, n - (t0 + t1) * m, t0 * m
+
+
+class TestConstructionProperties:
+    @settings(max_examples=100, deadline=None, derandomize=True)
+    @given(shape=plbc_shapes(), seed=st.integers(0, 2**32 - 1))
+    def test_construct_or_clean_error(self, shape, seed):
+        n, k, l = shape
+        params = params_for(n, k, l)
+        try:
+            code = construct_pbch(n, k, l)
+        except ConstructionError:
+            code = None
+        try:
+            masking_polys(n, l, params.d0)
+            mask_ok = True
+        except ConstructionError:
+            mask_ok = False
+        if code is not None:
+            assert mask_ok
+            rng = np.random.default_rng(seed)
+            for _ in range(4):
+                w = BitVector.from_bits(rng.integers(0, 2, size=k))
+                cells = rng.permutation(n)
+                u = int(rng.integers(0, max(params.d0 - 1, 0) + 1))
+                t = int(rng.integers(0, params.t1 + 1))
+                stuck = sorted(cells[:u].tolist())
+                s = DefectVector.from_positions(
+                    n, stuck, rng.integers(0, 2, size=u).tolist()
+                )
+                c, mres = encode(code, w, s)
+                assert mres.unmasked == 0
+                y = transmit(c, s, BitVector.from_indices(n, cells[u:u + t]))
+                out = decode(code, y)
+                assert out.status == "corrected" and out.w_hat == w
+        # the 2^l dual walk stays fast up to l = 18
+        if l <= 18:
+            try:
+                wd = weight_distribution(n, l, params.d0, "macwilliams")
+            except ConstructionError:
+                wd = None
+            assert (wd is not None) == mask_ok
+            if wd is not None:
+                assert wd.counts.sum() == pytest.approx(2.0 ** (n - l), rel=1e-12)
+                assert not wd.counts[1:params.d0].any()

@@ -5,6 +5,7 @@ from plbc.gf2 import (
     GF2m,
     BitMatrix,
     BitVector,
+    _solve_aug_rows,
     pack_bits,
     poly_degree,
     poly_divmod,
@@ -13,7 +14,6 @@ from plbc.gf2 import (
     poly_reciprocal,
     rank,
     rref,
-    solve_row_system,
     unpack_bits,
 )
 
@@ -223,6 +223,18 @@ class TestRref:
             assert dense_rank(all_rows, cols) == dense_rank(ints, cols)
 
 
+def solve_by_aug_rows(a, b):
+    """x with x * a = b through the masking solver, or None if inconsistent.
+
+    Column j of ``a`` with b_j at bit a.rows is one augmented row.
+    """
+    cols = a.column_ints()
+    bb = b.bits()
+    aug = [cols[j] | (int(bb[j]) << a.rows) for j in range(a.cols)]
+    x = _solve_aug_rows(aug, a.rows)
+    return None if x is None else BitVector.from_int(a.rows, x)
+
+
 class TestSolveRowSystem:
     def test_solved_in_row_space(self):
         rng = np.random.default_rng(17)
@@ -233,7 +245,7 @@ class TestSolveRowSystem:
             a = BitMatrix.from_dense(dense)
             b_bits = rng.integers(0, 2, size=u, dtype=np.uint8)
             b = BitVector(u, pack_bits(b_bits))
-            x = solve_row_system(a, b)
+            x = solve_by_aug_rows(a, b)
             if x is None:
                 misses += 1
                 # b must lie outside the row space
@@ -252,6 +264,6 @@ class TestSolveRowSystem:
             a = BitMatrix.from_dense(dense)
             x0 = rng.integers(0, 2, size=l, dtype=np.uint8)
             b = a.vecmat(BitVector(l, pack_bits(x0)))
-            x = solve_row_system(a, b)
+            x = solve_by_aug_rows(a, b)
             assert x is not None
             assert a.vecmat(x) == b

@@ -6,6 +6,7 @@ from plbc.codec import decode, encode
 from plbc.gf2 import BitVector, pack_bits
 from plbc.simulate import (
     BLOCK_TRIALS,
+    _worker_count,
     run_trials,
     trial_rng,
     wilson_interval,
@@ -90,6 +91,15 @@ class TestRunTrials:
             b.masking_failures, b.decoding_failures, b.joint_mask_fail_decode_fail
         )
         assert a.trials == b.trials == 3000
+
+    def test_worker_count_clamped(self, monkeypatch):
+        monkeypatch.setattr("plbc.simulate.os.cpu_count", lambda: 8)
+        assert _worker_count(64, 2) == 2
+        assert _worker_count(64, 100) == 8
+        assert _worker_count(3, 100) == 3
+        assert _worker_count(0, 5) == 1
+        monkeypatch.setattr("plbc.simulate.os.cpu_count", lambda: None)
+        assert _worker_count(4, 4) == 1
 
     def test_seed_changes_counts(self, code15):
         ch = ChannelParams(0.2, 0.05)
