@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .bch import field_for_length
+from .bch import field_degree
 from .bounds import (
     BoundResult,
     capacity_max,
@@ -102,7 +102,7 @@ class AllocationReport:
 
 def _field_degree(n: int, m: int | None) -> int:
     """The field degree m of length n; a given m must match it."""
-    expected = field_for_length(n).m
+    expected = field_degree(n)
     if m is not None and m != expected:
         raise ValueError("m=%d does not match n=%d (expected %d)" % (m, n, expected))
     return expected

@@ -9,11 +9,12 @@ product over distinct cyclotomic cosets.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cache
 
 import numpy as np
 
 from .errors import ConstructionError
-from .gf2 import BitMatrix, GF2m, poly_degree, poly_mul
+from .gf2 import BitMatrix, GF2m, poly_degree, poly_mul, rank
 
 __all__ = [
     "CyclotomicCoset",
@@ -34,12 +35,20 @@ class CyclotomicCoset:
         return len(self.members)
 
 
-def field_for_length(n: int) -> GF2m:
-    """GF(2^m) for a primitive code length n = 2^m - 1."""
+def field_degree(n: int) -> int:
+    """m for a primitive code length n = 2^m - 1 with a supported field."""
     m = n.bit_length()
     if n <= 0 or n != (1 << m) - 1:
         raise ValueError("length must be 2^m - 1, got %r" % (n,))
-    return GF2m(m)
+    if not 2 <= m <= 16:
+        raise ValueError("m must be in [2, 16]")
+    return m
+
+
+@cache
+def field_for_length(n: int) -> GF2m:
+    """GF(2^m) for a primitive code length n = 2^m - 1, one shared per m."""
+    return GF2m(field_degree(n))
 
 
 def cyclotomic_coset(j: int, n: int) -> CyclotomicCoset:
@@ -134,7 +143,6 @@ def bch_parity_check(n: int, delta: int, field: GF2m) -> BitMatrix:
         raise ValueError("designed distance must be odd and >= 1")
     m = field.m
     blocks = []
-    leaders = []
     short = []
     seen: set[int] = set()
     positions = np.arange(n, dtype=np.int64)
@@ -143,14 +151,10 @@ def bch_parity_check(n: int, delta: int, field: GF2m) -> BitMatrix:
         if coset.leader in seen:
             continue
         seen.add(coset.leader)
-        leaders.append(coset.leader)
         if len(coset) != m:
             short.append(coset)
         vals = field.exp_np[(positions * j) % n]
-        block = np.empty((m, n), dtype=np.uint8)
-        for b in range(m):
-            block[b] = ((vals >> b) & 1).astype(np.uint8)
-        blocks.append(block)
+        blocks.append((vals >> np.arange(m)[:, None]) & 1)
     if not blocks:
         return BitMatrix(0, n)
     mat = BitMatrix.from_dense(np.vstack(blocks))
@@ -161,9 +165,7 @@ def bch_parity_check(n: int, delta: int, field: GF2m) -> BitMatrix:
             "cosets shorter than m: %s"
             % (mat.rows, deg, n, delta, [c.members for c in short] or "none")
         )
-    from .gf2 import rank as _rank
-
-    rk = _rank(mat)
+    rk = rank(mat)
     if rk != mat.rows:
         raise ConstructionError(
             "parity-check matrix is rank deficient (%d < %d) at n=%d delta=%d"

@@ -27,14 +27,11 @@ from .gf2 import (
     BitMatrix,
     BitVector,
     GF2m,
-    _n_words,
     _solve_aug_rows,
     pack_bits,
     poly_degree,
     poly_divmod,
     poly_reciprocal,
-    rref,
-    unpack_bits,
 )
 
 __all__ = [
@@ -150,21 +147,17 @@ class PbchCode:
 
     def __post_init__(self):
         params, field, g = self.params, self.field, self.g_poly
-        self._mask_cols = self.gen_mask.column_ints() if params.l else [0] * params.n
+        self._mask_cols = self.gen_mask.column_ints()
         # gen_message rows are g << i, so w * G1 is the product w(x) g(x)
         self._g_taps = [i for i in range(g.bit_length()) if (g >> i) & 1]
         self._syn_exponents = np.arange(1, 2 * params.t1 + 1, dtype=np.int64)
         self._exp_np = field.exp_np
-        positions = np.arange(params.n, dtype=np.int64)
-        # odd syndromes S_1, S_3, ..., S_{2t1-1} as GF(2) parities: row
-        # j*m + b holds bit b of alpha^((2j+1)i) over the positions i
-        self._syn_rows = _odd_syndrome_rows(field, params.t1)
         self._syn_weights = 1 << np.arange(field.m, dtype=np.int64)
         # Chien sweep tables: exp over two periods and (kk * i) mod n, so a
         # locator term alpha^(log c + kk*i) is one lookup with no reduction
         self._exp2_np = np.array(field.exp, dtype=np.int64)
-        self._chien_pows = (
-            np.arange(params.t1 + 1, dtype=np.int64)[:, None] * positions
+        self._chien_pows = np.outer(
+            np.arange(params.t1 + 1, dtype=np.int64), np.arange(params.n, dtype=np.int64)
         ) % params.n
 
     @property
@@ -201,38 +194,38 @@ class PbchCode:
         return "PbchCode(n=%d, k=%d, l=%d, d0=%d, d1=%d)" % (p.n, p.k, p.l, p.d0, p.d1)
 
 
-def message_inverse(gen_message: BitMatrix, gen_mask: BitMatrix) -> BitMatrix:
+def message_inverse(n: int, g: int, p: int) -> BitMatrix:
     """Right inverse of the message rows that annihilates the masking rows.
 
-    Returns a k x n matrix T with gen_message * T^T = I and
-    gen_mask * T^T = 0, from one elimination over [G | I_k ; 0] with free
-    variables pinned to zero.
+    Returns the k x n matrix T with G1 T^T = I and G0 T^T = 0 that the
+    systematic elimination over [G1 | I_k ; G0 | 0] gives, built from the
+    polynomials alone.  With K = n - deg g = k + l, q = p / g and
+    u = 1/g mod x^K, T sends y to ((y mod x^K) u mod x^K) mod q: column
+    i < K is t_i = (x^i u mod x^K) mod q, and the columns from K on are 0.
+    The t_i follow t_0 = u mod q, t_{i+1} = x t_i mod q + u_{K-1-i} (x^K mod q).
     """
-    k = gen_message.rows
-    l = gen_mask.rows
-    n = gen_message.cols
-    if gen_mask.cols != n:
-        raise ValueError("row spaces must share a length")
-    total = k + l
-    width = n + k
-    aug = BitMatrix(total, width)
-    aug.words[:k, : _n_words(n)] = gen_message.words
-    if l:
-        aug.words[k:, : _n_words(n)] = gen_mask.words
-    for i in range(k):
-        j = n + i
-        aug.words[i, j >> 6] |= np.uint64(1 << (j & 63))
-    red, pivots = rref(aug, n_pivot_cols=n)
-    if len(pivots) != total:
-        raise ConstructionError(
-            "message and masking rows are linearly dependent (rank %d < %d)"
-            % (len(pivots), total)
-        )
-    dense = np.zeros((k, n), dtype=np.uint8)
-    for i, pcol in enumerate(pivots):
-        tail = unpack_bits(red.words[i], width)[n:]
-        dense[np.flatnonzero(tail), pcol] = 1
-    return BitMatrix.from_dense(dense)
+    q, rem = poly_divmod(p, g)
+    if rem:
+        raise ConstructionError("masking generator is not a multiple of g")
+    k = q.bit_length() - 1
+    big_k = n - (g.bit_length() - 1)
+    u, acc = 0, 1
+    for i in range(big_k):
+        if acc & 1:
+            u |= 1 << i
+            acc ^= g
+        acc >>= 1
+    t = poly_divmod(u, q)[1]
+    xk = poly_divmod(1 << big_k, q)[1]
+    cols = []
+    for i in range(big_k):
+        cols.append(t)
+        t <<= 1
+        if t >> k:
+            t ^= q
+        if (u >> (big_k - 1 - i)) & 1:
+            t ^= xk
+    return BitMatrix.from_row_ints(cols + [0] * (n - big_k), k).transpose()
 
 
 def masking_polys(n: int, l: int, d0: int) -> tuple[int, int]:
@@ -289,13 +282,10 @@ def construct_pbch(n: int, k: int, l: int) -> PbchCode:
                 "the masking code would not nest inside the outer code" % shared
             )
 
-    if params.r and poly_divmod(p, g)[1]:
-        raise ConstructionError("masking generator is not a multiple of g")
-
+    msg_inv = message_inverse(n, g, p)
     gen_message = BitMatrix.from_row_ints([g << i for i in range(k)], n)
     gen_mask = BitMatrix.from_row_ints([p << i for i in range(l)], n)
     parity = bch_parity_check(n, params.d1, field) if params.r else BitMatrix(0, n)
-    msg_inv = message_inverse(gen_message, gen_mask)
 
     code = PbchCode(
         params, field, g, p, hstar, gen_message, gen_mask, parity, msg_inv
@@ -305,24 +295,49 @@ def construct_pbch(n: int, k: int, l: int) -> PbchCode:
 
 
 def _check_code_identities(code: PbchCode) -> None:
-    """Cheap word-level identity checks run once per construction."""
+    """Word-level identity checks run once per construction.
+
+    G1 T^T = I, G0 T^T = 0 and H [G1; G0]^T = 0 on the codec's matrices.
+    Row i of G1 (G0) is g(x) x^i (p(x) x^i), so row i of M G1^T is the XOR
+    of M's columns i + s over the taps s of g; the columns of T and H come
+    from one transpose each (H is empty when r = 0).
+    """
     p = code.params
-    ident = BitMatrix.identity(p.k)
-    for i in range(p.k):
-        row = code.gen_message.row(i)
-        got = code.msg_inverse.matvec_parity(row)
-        if got != ident.row(i):
-            raise ConstructionError("gen_message * msg_inverse^T != I at row %d" % i)
-    for i in range(p.l):
-        got = code.msg_inverse.matvec_parity(code.gen_mask.row(i))
-        if got.weight():
-            raise ConstructionError("gen_mask * msg_inverse^T != 0 at row %d" % i)
-    if p.r:
-        stacked = code.gen_message.stack(code.gen_mask)
-        for i in range(p.r):
-            got = stacked.matvec_parity(code.parity.row(i))
-            if got.weight():
-                raise ConstructionError("code rows fail parity row %d" % i)
+    for name, mat, poly in (("gen_message", code.gen_message, code.g_poly),
+                            ("gen_mask", code.gen_mask, code.p_poly)):
+        if not _rows_are_shifts(mat, poly):
+            raise ConstructionError("%s rows are not shifts of its polynomial" % name)
+    t_cols = code.msg_inverse.transpose().words
+    h_cols = code.parity.transpose().words
+    g1_t_xor_i = _tap_xor(t_cols, code.g_poly, p.k)
+    idx = np.arange(p.k)
+    g1_t_xor_i[idx, idx >> 6] ^= np.uint64(1) << (idx & 63).astype(np.uint64)
+    for what, bad in (("gen_message * msg_inverse^T != I", g1_t_xor_i),
+                      ("gen_mask * msg_inverse^T != 0", _tap_xor(t_cols, code.p_poly, p.l)),
+                      ("gen_message rows fail parity", _tap_xor(h_cols, code.g_poly, p.k)),
+                      ("gen_mask rows fail parity", _tap_xor(h_cols, code.p_poly, p.l))):
+        rows = np.flatnonzero(bad.any(axis=1))
+        if rows.size:
+            raise ConstructionError("%s at row %d" % (what, rows[0]))
+
+
+def _rows_are_shifts(mat: BitMatrix, poly: int) -> bool:
+    """Whether row i of mat is poly(x) x^i for every i."""
+    w = mat.words
+    shifted = w[:-1] << np.uint64(1)
+    shifted[:, 1:] |= w[:-1, :-1] >> np.uint64(63)
+    return mat.rows == 0 or (mat.row_int(0) == poly and np.array_equal(shifted, w[1:]))
+
+
+def _tap_xor(cols: np.ndarray, poly: int, rows: int) -> np.ndarray:
+    """Row i is the XOR of cols[i + s] over the taps s of poly, i < rows."""
+    acc = np.zeros((rows, cols.shape[1]), dtype=np.uint64)
+    while poly:
+        low = poly & -poly
+        s = low.bit_length() - 1
+        acc ^= cols[s:s + rows]
+        poly ^= low
+    return acc
 
 
 # ---------------------------------------------------------------------------
@@ -428,22 +443,15 @@ def encode(code: PbchCode, w: BitVector, s: DefectVector) -> tuple[BitVector, Ma
 # decoding
 # ---------------------------------------------------------------------------
 
-def _odd_syndrome_rows(field: GF2m, t1: int) -> BitMatrix:
-    n, m = field.n, field.m
-    positions = np.arange(n, dtype=np.int64)
-    dense = np.empty((t1 * m, n), dtype=np.uint8)
-    for j in range(t1):
-        vals = field.exp_np[(positions * (2 * j + 1)) % n]
-        for b in range(m):
-            dense[j * m + b] = (vals >> b) & 1
-    return BitMatrix.from_dense(dense)
-
-
 def _syndromes(code: PbchCode, y_words: np.ndarray) -> np.ndarray:
-    """S_1..S_2t1 of a binary word: odd ones by parity, even by S_2j = S_j^2."""
+    """S_1..S_2t1 of a binary word: odd ones by parity, even by S_2j = S_j^2.
+
+    Row j*m + b of the parity check H holds bit b of alpha^((2j+1)i) over the
+    positions i, so H y gives the odd syndromes bit by bit.
+    """
     t1 = code.params.t1
     field = code.field
-    bits = np.bitwise_count(code._syn_rows.words & y_words).sum(axis=1, dtype=np.int64) & 1
+    bits = np.bitwise_count(code.parity.words & y_words).sum(axis=1, dtype=np.int64) & 1
     odd = bits.reshape(t1, field.m) @ code._syn_weights
     syn = [0] * (2 * t1)
     syn[0::2] = odd.tolist()

@@ -120,7 +120,8 @@ class GF2m:
 
     Elements are ints in [0, 2^m).  Addition is XOR and is not wrapped in a
     method.  ``exp`` is doubled in length so products of two logs index it
-    without a modular reduction.
+    without a modular reduction.  The tables are tuples and a non-writeable
+    array, so ``bch.field_for_length`` can hand out one instance per m.
     """
 
     def __init__(self, m: int, primitive_poly: int | None = None):
@@ -147,10 +148,11 @@ class GF2m:
                 x ^= primitive_poly
         if x != 1:
             raise ValueError("polynomial is not primitive for GF(2^%d)" % m)
-        self.exp = exp
-        self.log = log
+        self.exp = tuple(exp)
+        self.log = tuple(log)
         # exp restricted to one period, as an array for vectorized lookups
         self.exp_np = np.array(exp[: self.n], dtype=np.int64)
+        self.exp_np.flags.writeable = False
 
     def _check(self, a: int) -> None:
         if not 0 <= a < self.order:
@@ -168,16 +170,6 @@ class GF2m:
         if a == 0:
             raise ZeroDivisionError("0 has no inverse in GF(2^%d)" % self.m)
         return self.exp[self.n - self.log[a]]
-
-    def pow(self, a: int, e: int) -> int:
-        self._check(a)
-        if a == 0:
-            if e == 0:
-                return 1
-            if e < 0:
-                raise ZeroDivisionError("negative power of 0")
-            return 0
-        return self.exp[(self.log[a] * e) % self.n]
 
     def alpha_pow(self, e: int) -> int:
         """alpha^e for any integer exponent."""
@@ -211,10 +203,6 @@ def unpack_bits(words: np.ndarray, n: int) -> np.ndarray:
     """Inverse of pack_bits; returns a uint8 array of length n."""
     raw = np.frombuffer(words.astype("<u8").tobytes(), dtype=np.uint8)
     return np.unpackbits(raw, count=n, bitorder="little")
-
-
-def popcount_words(words: np.ndarray) -> int:
-    return int(np.bitwise_count(words).sum())
 
 
 def words_to_int(words: np.ndarray) -> int:
@@ -274,7 +262,7 @@ class BitVector:
         return int(self.words[i >> 6] >> np.uint64(i & 63)) & 1
 
     def weight(self) -> int:
-        return popcount_words(self.words)
+        return int(np.bitwise_count(self.words).sum())
 
     def bits(self) -> np.ndarray:
         return unpack_bits(self.words, self.n)
@@ -309,6 +297,15 @@ class BitVector:
         return "BitVector(n=%d, weight=%d)" % (self.n, self.weight())
 
 
+# (j, mask) for each round of a 64 x 64 bit-block transpose: the mask holds
+# the low j bits of every 2j-bit group, and the round exchanges those bits of
+# row i + j with the bits j places higher in row i, for each i with bit j clear
+_SWAP_MASKS = [
+    (j, np.uint64(sum(((1 << j) - 1) << s for s in range(0, 64, 2 * j))))
+    for j in (32, 16, 8, 4, 2, 1)
+]
+
+
 class BitMatrix:
     """GF(2) matrix with bit-packed rows (shape: rows x words)."""
 
@@ -327,11 +324,12 @@ class BitMatrix:
 
     @classmethod
     def from_row_ints(cls, row_ints, cols: int) -> "BitMatrix":
-        rows = len(row_ints)
-        m = cls(rows, cols)
-        for i, v in enumerate(row_ints):
-            m.words[i] = int_to_words(v, cols)
-        return m
+        if any(v < 0 or v.bit_length() > cols for v in row_ints):
+            raise ValueError("value does not fit in %d bits" % cols)
+        nw = _n_words(cols)
+        raw = b"".join(v.to_bytes(nw * _WORD_BYTES, "little") for v in row_ints)
+        words = np.frombuffer(raw, dtype="<u8").astype(np.uint64)
+        return cls(len(row_ints), cols, words.reshape(len(row_ints), nw))
 
     @classmethod
     def from_dense(cls, dense) -> "BitMatrix":
@@ -341,13 +339,6 @@ class BitMatrix:
         m = cls(arr.shape[0], arr.shape[1])
         for i in range(arr.shape[0]):
             m.words[i] = pack_bits(arr[i])
-        return m
-
-    @classmethod
-    def identity(cls, n: int) -> "BitMatrix":
-        m = cls(n, n)
-        for i in range(n):
-            m.words[i, i >> 6] = np.uint64(1 << (i & 63))
         return m
 
     def row(self, i: int) -> BitVector:
@@ -362,22 +353,27 @@ class BitMatrix:
         return int(self.words[i, j >> 6] >> np.uint64(j & 63)) & 1
 
     def dense(self) -> np.ndarray:
-        out = np.empty((self.rows, self.cols), dtype=np.uint8)
-        for i in range(self.rows):
-            out[i] = unpack_bits(self.words[i], self.cols)
-        return out
+        raw = self.words.astype("<u8").view(np.uint8)
+        return np.unpackbits(raw, axis=1, count=self.cols, bitorder="little")
 
     def transpose(self) -> "BitMatrix":
-        return BitMatrix.from_dense(self.dense().T)
+        """The transpose, by masked swaps inside each 64 x 64 bit block.
 
-    def stack(self, other: "BitMatrix") -> "BitMatrix":
-        if self.cols != other.cols:
-            raise ValueError("column count mismatch")
-        return BitMatrix(
-            self.rows + other.rows,
-            self.cols,
-            np.vstack([self.words, other.words]),
-        )
+        Works on the packed words only (one zero-padded copy), never on a
+        byte per bit, then moves block (i, j) to (j, i).
+        """
+        rb, cb = _n_words(self.rows), _n_words(self.cols)
+        a = np.zeros((rb * 64, cb), dtype=np.uint64)
+        a[: self.rows] = self.words
+        a = a.reshape(rb, 64, cb)
+        for j, mask in _SWAP_MASKS:
+            half = a.reshape(rb, 32 // j, 2, j, cb)
+            lo, hi = half[:, :, 0], half[:, :, 1]
+            t = ((lo >> np.uint64(j)) ^ hi) & mask
+            lo ^= t << np.uint64(j)
+            hi ^= t
+        words = a.transpose(2, 1, 0).reshape(cb * 64, rb)[: self.cols]
+        return BitMatrix(self.cols, self.rows, np.ascontiguousarray(words))
 
     def vecmat(self, v: BitVector) -> BitVector:
         """v * M for a length-``rows`` vector: XOR of the selected rows."""
@@ -400,14 +396,7 @@ class BitMatrix:
 
     def column_ints(self) -> list[int]:
         """Columns as ints (bit i = row i); handy for small solves."""
-        dense = self.dense()
-        out = []
-        for j in range(self.cols):
-            col = 0
-            for i in np.flatnonzero(dense[:, j]):
-                col |= 1 << int(i)
-            out.append(col)
-        return out
+        return [words_to_int(w) for w in self.transpose().words]
 
     def copy(self) -> "BitMatrix":
         return BitMatrix(self.rows, self.cols, self.words.copy())

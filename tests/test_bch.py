@@ -100,6 +100,15 @@ class TestGenerator:
     def test_length_validation(self):
         with pytest.raises(ValueError):
             field_for_length(14)
+        for n in (0, 1, (1 << 17) - 1):
+            with pytest.raises(ValueError):
+                field_for_length(n)
+
+    def test_one_shared_field_per_m(self):
+        f = field_for_length(1023)
+        assert field_for_length(1023) is f
+        assert f.m == 10 and f.n == 1023
+        assert field_for_length(15) is not f
 
 
 class TestParityCheck:

@@ -22,9 +22,11 @@ index,l,r,d0,d1
 
 # Exact stdout of each emitting subcommand on the (15, 7) family at
 # epsilon = 0.1, p = 0.02 (simulate: 1024 trials, seed 3, one thread);
-# capacity uses the table2 preset.
+# capacity uses the table2 preset and code, which writes JSON only, the
+# l = 4 code with its matrices.
 _CH = ["--epsilon", "0.1", "--p", "0.02"]
 GOLDEN_ARGV = {
+    "code": ["code", "--n", "15", "--k", "7", "--l", "4", "--matrices"],
     "candidates": ["candidates", "--n", "15", "--k", "7"],
     "capacity": ["capacity", "--preset", "table2"],
     "bound": ["bound", "--n", "15", "--k", "7", *_CH],
@@ -33,6 +35,50 @@ GOLDEN_ARGV = {
     "allocate": ["allocate", "--n", "15", "--k", "7", *_CH, "--threads", "1"],
 }
 GOLDEN_OUTPUT = {
+    ("code", "json"): """\
+{
+  "schema": "plbc.code.v1",
+  "n": 15,
+  "k": 7,
+  "l": 4,
+  "r": 4,
+  "m": 4,
+  "d0": 3,
+  "d1": 3,
+  "g_poly": "13",
+  "p_poly": "f59",
+  "gen_message": [
+    "13",
+    "26",
+    "4c",
+    "98",
+    "130",
+    "260",
+    "4c0"
+  ],
+  "gen_mask": [
+    "f59",
+    "1eb2",
+    "3d64",
+    "7ac8"
+  ],
+  "parity": [
+    "7591",
+    "1eb2",
+    "3d64",
+    "7ac8"
+  ],
+  "msg_inverse": [
+    "6b3",
+    "48c",
+    "f2",
+    "1e4",
+    "3c8",
+    "123",
+    "4f5"
+  ]
+}
+""",
     ("candidates", "csv"): """\
 # schema=plbc.candidates.v1
 index,l,r,d0,d1
@@ -313,7 +359,8 @@ def run_cli(capsys, *argv):
 
 @pytest.mark.parametrize("command,fmt", sorted(GOLDEN_OUTPUT))
 def test_golden_output(capsys, command, fmt):
-    rc, out, err = run_cli(capsys, *GOLDEN_ARGV[command], "--format", fmt)
+    fmt_args = [] if command == "code" else ["--format", fmt]
+    rc, out, err = run_cli(capsys, *GOLDEN_ARGV[command], *fmt_args)
     assert rc == 0, err
     assert out == GOLDEN_OUTPUT[command, fmt]
 

@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 
 import numpy as np
@@ -8,17 +9,19 @@ from hypothesis import strategies as st
 from plbc.bounds import weight_distribution
 from plbc.channel import DefectVector, transmit
 from plbc.codec import (
+    _check_code_identities,
     construct_pbch,
     decode,
     encode,
     mask_defects,
     mask_defects_one_step,
     masking_polys,
+    message_inverse,
     params_for,
     verify_distances,
 )
 from plbc.errors import ConstructionError
-from plbc.gf2 import BitMatrix, BitVector, rank
+from plbc.gf2 import BitMatrix, BitVector, _n_words, rank, rref, unpack_bits
 
 CANDIDATE_FAMILY_1023 = [
     (0, 100, 0, 21),
@@ -33,6 +36,26 @@ CANDIDATE_FAMILY_1023 = [
     (90, 10, 19, 3),
     (100, 0, 21, 0),
 ]
+
+
+def rref_message_inverse(gen_message, gen_mask):
+    """Reference T: one elimination over [G1 | I_k ; G0 | 0], free variables 0.
+
+    Row i of the reduced matrix with pivot column c puts its I_k tail into
+    column c of T; columns without a pivot stay zero.
+    """
+    k, l, n = gen_message.rows, gen_mask.rows, gen_message.cols
+    aug = BitMatrix(k + l, n + k)
+    aug.words[:k, : _n_words(n)] = gen_message.words
+    aug.words[k:, : _n_words(n)] = gen_mask.words
+    for i in range(k):
+        aug.words[i, (n + i) >> 6] |= np.uint64(1 << ((n + i) & 63))
+    red, pivots = rref(aug, n_pivot_cols=n)
+    assert len(pivots) == k + l
+    dense = np.zeros((k, n), dtype=np.uint8)
+    for i, col in enumerate(pivots):
+        dense[np.flatnonzero(unpack_bits(red.words[i], n + k)[n:]), col] = 1
+    return BitMatrix.from_dense(dense)
 
 
 def all_messages(k):
@@ -96,8 +119,18 @@ class TestConstruction:
             assert code15.msg_inverse.matvec_parity(row).weight() == 0
 
     def test_trivial_intersection(self, code15):
-        stacked = code15.gen_message.stack(code15.gen_mask)
-        assert rank(stacked) == 11
+        stacked = np.vstack([code15.gen_message.words, code15.gen_mask.words])
+        assert rank(BitMatrix(11, 15, stacked)) == 11
+
+    def test_parity_rows_are_odd_syndrome_bits(self, code15, code15_t2, code1023_l20):
+        # _syndromes reads the odd syndromes off H: row j*m + b must hold
+        # bit b of alpha^((2j+1)i) at position i
+        for code in (code15, code15_t2, code1023_l20, construct_pbch(63, 45, 12)):
+            n, m, t1 = code.n, code.field.m, code.params.t1
+            for j in range(t1):
+                vals = code.field.exp_np[(np.arange(n) * (2 * j + 1)) % n]
+                want = (vals >> np.arange(m)[:, None]) & 1
+                assert np.array_equal(code.parity.dense()[j * m:(j + 1) * m], want)
 
     def test_parity_annihilates_both(self, code15):
         for i in range(7):
@@ -329,6 +362,7 @@ class TestConstructionProperties:
             mask_ok = False
         if code is not None:
             assert mask_ok
+            assert code.msg_inverse == rref_message_inverse(code.gen_message, code.gen_mask)
             rng = np.random.default_rng(seed)
             for _ in range(4):
                 w = BitVector.from_bits(rng.integers(0, 2, size=k))
@@ -354,3 +388,77 @@ class TestConstructionProperties:
             if wd is not None:
                 assert wd.counts.sum() == pytest.approx(2.0 ** (n - l), rel=1e-12)
                 assert not wd.counts[1:params.d0].any()
+
+
+class TestMessageInverse:
+    """T from the polynomials equals the elimination's T bit for bit."""
+
+    @pytest.mark.parametrize("l", [row[0] for row in CANDIDATE_FAMILY_1023])
+    def test_table2_candidates_match_reference(self, l):
+        code = construct_pbch(1023, 923, l)
+        assert code.msg_inverse == rref_message_inverse(code.gen_message, code.gen_mask)
+
+    def test_n2047_matches_reference(self):
+        code = construct_pbch(2047, 1937, 22)
+        assert code.msg_inverse == rref_message_inverse(code.gen_message, code.gen_mask)
+
+    def test_from_polynomials(self, code15):
+        got = message_inverse(15, code15.g_poly, code15.p_poly)
+        assert got == code15.msg_inverse
+        assert (got.rows, got.cols) == (7, 15)
+
+    def test_g_must_divide_p(self, code15):
+        with pytest.raises(ConstructionError):
+            message_inverse(15, code15.g_poly, code15.p_poly ^ 1)
+
+
+def _flip(mat, i, j):
+    out = mat.copy()
+    out.words[i, j >> 6] ^= np.uint64(1 << (j & 63))
+    return out
+
+
+class TestIdentityChecks:
+    """Any one wrong bit in the codec's matrices fails construction's checks."""
+
+    def test_constructed_codes_pass(self, code15, code15_t2, code1023_l20):
+        for code in (code15, code15_t2, code1023_l20, construct_pbch(15, 7, 0),
+                     construct_pbch(15, 7, 8)):
+            _check_code_identities(code)
+
+    @pytest.mark.parametrize("field", ["msg_inverse", "parity"])
+    def test_every_single_bit_flip_n15(self, code15, field):
+        mat = getattr(code15, field)
+        for i in range(mat.rows):
+            for j in range(mat.cols):
+                bad = dataclasses.replace(code15, **{field: _flip(mat, i, j)})
+                with pytest.raises(ConstructionError):
+                    _check_code_identities(bad)
+
+    def test_random_bit_flips_n1023(self, code1023_l20):
+        rng = np.random.default_rng(41)
+        for field in ("msg_inverse", "parity"):
+            mat = getattr(code1023_l20, field)
+            for _ in range(5):
+                i, j = int(rng.integers(mat.rows)), int(rng.integers(mat.cols))
+                bad = dataclasses.replace(code1023_l20, **{field: _flip(mat, i, j)})
+                with pytest.raises(ConstructionError):
+                    _check_code_identities(bad)
+
+    def test_wrong_row_polynomial(self, code15):
+        g, p = code15.g_poly, code15.p_poly
+        other_g = 0b11001  # the other primitive quartic
+        rows = BitMatrix.from_row_ints([other_g << i for i in range(7)], 15)
+        for bad in (
+            # rows of another polynomial, with and without the field agreeing
+            dataclasses.replace(code15, gen_message=rows),
+            dataclasses.replace(code15, gen_message=rows, g_poly=other_g),
+            dataclasses.replace(code15, g_poly=other_g),
+            dataclasses.replace(code15, p_poly=p ^ g),
+            # still a multiple of g, so only G0 T^T = 0 can catch it
+            dataclasses.replace(code15, p_poly=p ^ (g << 1), gen_mask=BitMatrix.from_row_ints(
+                [(p ^ (g << 1)) << i for i in range(4)], 15)),
+            dataclasses.replace(code15, gen_mask=_flip(code15.gen_mask, 2, 9)),
+        ):
+            with pytest.raises(ConstructionError):
+                _check_code_identities(bad)

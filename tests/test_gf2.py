@@ -79,6 +79,14 @@ class TestFieldArithmetic:
         with pytest.raises(ValueError):
             GF2m(4, 0b10101)
 
+    def test_tables_read_only(self):
+        with pytest.raises(TypeError):
+            F16.exp[0] = 2
+        with pytest.raises(TypeError):
+            F16.log[1] = 3
+        with pytest.raises(ValueError):
+            F16.exp_np[0] = 2
+
     def test_m_bounds(self):
         with pytest.raises(ValueError):
             GF2m(1)
@@ -181,15 +189,24 @@ class TestBitMatrix:
     def test_transpose(self):
         dense = np.array([[1, 0, 1], [0, 1, 1]], dtype=np.uint8)
         assert np.array_equal(BitMatrix.from_dense(dense).transpose().dense(), dense.T)
+        # shapes across and inside the 64 x 64 blocks, including empty ones
+        rng = np.random.default_rng(7)
+        for rows, cols in [(0, 5), (5, 0), (1, 1), (63, 65), (130, 64), (200, 1000)]:
+            dense = rng.integers(0, 2, size=(rows, cols), dtype=np.uint8)
+            got = BitMatrix.from_dense(dense).transpose()
+            assert (got.rows, got.cols) == (cols, rows)
+            assert np.array_equal(got.dense(), dense.T)
 
-    def test_identity(self):
-        ident = BitMatrix.identity(5)
-        assert np.array_equal(ident.dense(), np.eye(5, dtype=np.uint8))
+    def test_from_row_ints_rejects_wide_rows(self):
+        with pytest.raises(ValueError):
+            BitMatrix.from_row_ints([1, 1 << 4], 4)
+        with pytest.raises(ValueError):
+            BitMatrix.from_row_ints([-1], 4)
 
 
 class TestRref:
     def test_identity(self):
-        ident = BitMatrix.identity(6)
+        ident = BitMatrix.from_row_ints([1 << i for i in range(6)], 6)
         red, pivots = rref(ident)
         assert pivots == list(range(6))
         assert np.array_equal(red.dense(), ident.dense())
