@@ -14,7 +14,7 @@ from functools import cache
 import numpy as np
 
 from .errors import ConstructionError
-from .gf2 import BitMatrix, GF2m, poly_degree, poly_mul, rank
+from .gf2 import BitMatrix, GF2m, _pack_rows, poly_degree, poly_mul, rank
 
 __all__ = [
     "CyclotomicCoset",
@@ -146,6 +146,7 @@ def bch_parity_check(n: int, delta: int, field: GF2m) -> BitMatrix:
     short = []
     seen: set[int] = set()
     positions = np.arange(n, dtype=np.int64)
+    shifts = np.arange(m, dtype=np.uint16)[:, None]
     for j in range(1, delta - 1, 2):
         coset = cyclotomic_coset(j, n)
         if coset.leader in seen:
@@ -153,11 +154,12 @@ def bch_parity_check(n: int, delta: int, field: GF2m) -> BitMatrix:
         seen.add(coset.leader)
         if len(coset) != m:
             short.append(coset)
-        vals = field.exp_np[(positions * j) % n]
-        blocks.append((vals >> np.arange(m)[:, None]) & 1)
+        vals = field.exp_np[(positions * j) % n].astype(np.uint16)
+        blocks.append(_pack_rows((vals >> shifts) & 1))
     if not blocks:
         return BitMatrix(0, n)
-    mat = BitMatrix.from_dense(np.vstack(blocks))
+    words = np.vstack(blocks)
+    mat = BitMatrix(len(words), n, words)
     deg = poly_degree(bch_generator(n, delta, field)) or 0
     if mat.rows != deg:
         raise ConstructionError(

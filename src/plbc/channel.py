@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .gf2 import BitVector, pack_bits
+from .gf2 import BitVector, _bits_to_int
 
 __all__ = [
     "ChannelParams",
@@ -30,15 +30,12 @@ class ChannelParams:
 
     epsilon: float
     p: float
-    q: int = 2
 
     def __post_init__(self):
         if not 0.0 <= self.epsilon <= 1.0:
             raise ValueError("epsilon must be in [0, 1]")
         if not 0.0 <= self.p <= 1.0:
             raise ValueError("p must be in [0, 1]")
-        if self.q != 2:
-            raise ValueError("only the binary alphabet (q=2) is supported")
 
     @property
     def p_tilde(self) -> float:
@@ -49,8 +46,8 @@ class ChannelParams:
 class DefectVector:
     """Per-cell defect state: healthy, stuck-at-0 or stuck-at-1.
 
-    Stored as two packed vectors: ``mask`` flags stuck cells and ``values``
-    holds the stuck value there (zero elsewhere, enforced).  String form uses
+    Stored as two vectors: ``mask`` flags stuck cells and ``values`` holds
+    the stuck value there (zero elsewhere, enforced).  String form uses
     '.' for healthy cells and '0'/'1' for stuck ones.
     """
 
@@ -59,7 +56,7 @@ class DefectVector:
     def __init__(self, mask: BitVector, values: BitVector):
         if mask.n != values.n:
             raise ValueError("mask and values lengths differ")
-        if np.any(values.words & ~mask.words):
+        if values.value & ~mask.value:
             raise ValueError("stuck values defined only at stuck cells")
         self.n = mask.n
         self.mask = mask
@@ -72,33 +69,27 @@ class DefectVector:
     @classmethod
     def from_positions(cls, n: int, positions, values) -> "DefectVector":
         mask = BitVector.from_indices(n, positions)
-        vals = BitVector(n)
+        vals = 0
         for pos, val in zip(positions, values, strict=True):
             if val not in (0, 1):
                 raise ValueError("stuck values must be 0 or 1")
             if val:
-                vals.words[pos >> 6] |= np.uint64(1 << (pos & 63))
-        return cls(mask, vals)
+                vals |= 1 << int(pos)
+        return cls(mask, BitVector(n, vals))
 
     @classmethod
     def from_string(cls, text: str) -> "DefectVector":
-        n = len(text)
-        mask = np.zeros(n, dtype=np.uint8)
-        vals = np.zeros(n, dtype=np.uint8)
-        for i, ch in enumerate(text):
-            if ch == ".":
-                continue
-            if ch not in "01":
-                raise ValueError("defect strings use only '.', '0', '1'")
-            mask[i] = 1
-            vals[i] = int(ch)
-        return cls(BitVector(n, pack_bits(mask)), BitVector(n, pack_bits(vals)))
+        if set(text) - set(".01"):
+            raise ValueError("defect strings use only '.', '0', '1'")
+        rev = text[::-1]
+        mask = int(rev.replace("0", "1").replace(".", "0") or "0", 2)
+        vals = int(rev.replace(".", "0") or "0", 2)
+        return cls(BitVector(len(text), mask), BitVector(len(text), vals))
 
     def to_string(self) -> str:
-        mask = self.mask.bits()
-        vals = self.values.bits()
+        mask, vals = self.mask.value, self.values.value
         return "".join(
-            "." if not m else ("1" if v else "0") for m, v in zip(mask, vals)
+            str(vals >> i & 1) if mask >> i & 1 else "." for i in range(self.n)
         )
 
     @property
@@ -131,21 +122,22 @@ def sample_defects(n: int, ch: ChannelParams, rng: np.random.Generator) -> Defec
     """
     if n <= 0:
         raise ValueError("length must be positive")
-    mask = (rng.random(n) < ch.epsilon).astype(np.uint8)
-    values = rng.integers(0, 2, size=n, dtype=np.uint8) & mask
-    return DefectVector(BitVector(n, pack_bits(mask)), BitVector(n, pack_bits(values)))
+    mask = _bits_to_int(rng.random(n) < ch.epsilon)
+    values = _bits_to_int(rng.integers(0, 2, size=n, dtype=np.uint8)) & mask
+    return DefectVector(BitVector(n, mask), BitVector(n, values))
 
 
 def sample_errors(s: DefectVector, ch: ChannelParams, rng: np.random.Generator) -> BitVector:
     """Draw the additive error vector; always zero at stuck cells."""
-    flips = (rng.random(s.n) < ch.p).astype(np.uint8)
-    return BitVector(s.n, pack_bits(flips) & ~s.mask.words)
+    flips = _bits_to_int(rng.random(s.n) < ch.p)
+    return BitVector(s.n, flips & ~s.mask.value)
 
 
 def transmit(x: BitVector, s: DefectVector, z: BitVector) -> BitVector:
     """Read back (x o s) + z: stuck cells clamp, healthy cells add z."""
     if x.n != s.n or z.n != s.n:
         raise ValueError("length mismatch between word, defects and errors")
-    if np.any(z.words & s.mask.words):
+    stuck = s.mask.value
+    if z.value & stuck:
         raise ValueError("error vector must be zero at stuck cells")
-    return BitVector(x.n, ((x.words ^ z.words) & ~s.mask.words) | s.values.words)
+    return BitVector(x.n, ((x.value ^ z.value) & ~stuck) | s.values.value)

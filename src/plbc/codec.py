@@ -28,7 +28,6 @@ from .gf2 import (
     BitVector,
     GF2m,
     _solve_aug_rows,
-    pack_bits,
     poly_degree,
     poly_divmod,
     poly_reciprocal,
@@ -146,16 +145,23 @@ class PbchCode:
     msg_inverse: BitMatrix
 
     def __post_init__(self):
-        params, field, g = self.params, self.field, self.g_poly
+        params, g = self.params, self.g_poly
         self._mask_cols = self.gen_mask.column_ints()
         # gen_message rows are g << i, so w * G1 is the product w(x) g(x)
         self._g_taps = [i for i in range(g.bit_length()) if (g >> i) & 1]
-        self._syn_exponents = np.arange(1, 2 * params.t1 + 1, dtype=np.int64)
-        self._exp_np = field.exp_np
-        self._syn_weights = 1 << np.arange(field.m, dtype=np.int64)
-        # Chien sweep tables: exp over two periods and (kk * i) mod n, so a
-        # locator term alpha^(log c + kk*i) is one lookup with no reduction
-        self._exp2_np = np.array(field.exp, dtype=np.int64)
+        # rows of H in blocks of m, block j giving S_(2j+1)
+        m = self.field.m
+        h_rows = self.parity.row_ints()
+        self._h_blocks = [h_rows[j:j + m] for j in range(0, params.r, m)]
+        # T c = ((c mod x^K) u mod x^K) mod q (see message_inverse), with u
+        # times every byte value tabulated for a product by bytes of c
+        self._q = poly_divmod(self.p_poly, g)[0]
+        u = _series_inverse(g, params.k + params.l)
+        self._u_bytes = [0]
+        for b in range(1, 256):
+            self._u_bytes.append(self._u_bytes[b >> 1] << 1 ^ (u if b & 1 else 0))
+        # (kk * i) mod n, so a Chien locator term alpha^(log c + kk*i) is one
+        # lookup in the field's two-period exp table with no reduction
         self._chien_pows = np.outer(
             np.arange(params.t1 + 1, dtype=np.int64), np.arange(params.n, dtype=np.int64)
         ) % params.n
@@ -179,14 +185,8 @@ class PbchCode:
             "p_poly": format(self.p_poly, "x"),
         }
         if include_matrices:
-            out["gen_message"] = [format(self.gen_message.row_int(i), "x")
-                                  for i in range(p.k)]
-            out["gen_mask"] = [format(self.gen_mask.row_int(i), "x")
-                               for i in range(p.l)]
-            out["parity"] = [format(self.parity.row_int(i), "x")
-                             for i in range(p.r)]
-            out["msg_inverse"] = [format(self.msg_inverse.row_int(i), "x")
-                                  for i in range(p.k)]
+            for name in ("gen_message", "gen_mask", "parity", "msg_inverse"):
+                out[name] = [format(v, "x") for v in getattr(self, name).row_ints()]
         return out
 
     def __repr__(self) -> str:
@@ -209,12 +209,7 @@ def message_inverse(n: int, g: int, p: int) -> BitMatrix:
         raise ConstructionError("masking generator is not a multiple of g")
     k = q.bit_length() - 1
     big_k = n - (g.bit_length() - 1)
-    u, acc = 0, 1
-    for i in range(big_k):
-        if acc & 1:
-            u |= 1 << i
-            acc ^= g
-        acc >>= 1
+    u = _series_inverse(g, big_k)
     t = poly_divmod(u, q)[1]
     xk = poly_divmod(1 << big_k, q)[1]
     cols = []
@@ -226,6 +221,17 @@ def message_inverse(n: int, g: int, p: int) -> BitMatrix:
         if (u >> (big_k - 1 - i)) & 1:
             t ^= xk
     return BitMatrix.from_row_ints(cols + [0] * (n - big_k), k).transpose()
+
+
+def _series_inverse(g: int, big_k: int) -> int:
+    """u = 1/g mod x^K for g(0) = 1, by K steps of series division."""
+    u, acc = 0, 1
+    for i in range(big_k):
+        if acc & 1:
+            u |= 1 << i
+            acc ^= g
+        acc >>= 1
+    return u
 
 
 def masking_polys(n: int, l: int, d0: int) -> tuple[int, int]:
@@ -352,13 +358,13 @@ def _mask_system(code: PbchCode, w: BitVector, s: DefectVector) -> tuple[int, li
     as its right-hand side at bit l.
     """
     l = code.params.l
-    w_int = w.to_int()
+    w_int = w.value
     c1 = 0
     for i in code._g_taps:
         c1 ^= w_int << i
-    mismatch = c1 ^ s.values.to_int()
+    mismatch = c1 ^ s.values.value
     aug = []
-    stuck = s.mask.to_int()
+    stuck = s.mask.value
     while stuck:
         low = stuck & -stuck
         j = low.bit_length() - 1
@@ -413,7 +419,7 @@ def mask_defects_one_step(code: PbchCode, w: BitVector, s: DefectVector) -> Mask
     _check_encode_args(code, w, s)
     _, aug = _mask_system(code, w, s)
     d, unmasked, step = _solve_mask(code, aug, two_step=False)
-    return MaskResult(BitVector.from_int(code.params.l, d), unmasked, step)
+    return MaskResult(BitVector(code.params.l, d), unmasked, step)
 
 
 def _check_encode_args(code: PbchCode, w: BitVector, s: DefectVector) -> None:
@@ -434,8 +440,8 @@ def encode(code: PbchCode, w: BitVector, s: DefectVector) -> tuple[BitVector, Ma
         c ^= code.p_poly << (low.bit_length() - 1)
         rest ^= low
     return (
-        BitVector.from_int(code.params.n, c),
-        MaskResult(BitVector.from_int(code.params.l, d), unmasked, step),
+        BitVector(code.params.n, c),
+        MaskResult(BitVector(code.params.l, d), unmasked, step),
     )
 
 
@@ -443,30 +449,30 @@ def encode(code: PbchCode, w: BitVector, s: DefectVector) -> tuple[BitVector, Ma
 # decoding
 # ---------------------------------------------------------------------------
 
-def _syndromes(code: PbchCode, y_words: np.ndarray) -> np.ndarray:
+def _syndromes(code: PbchCode, y: int) -> list[int]:
     """S_1..S_2t1 of a binary word: odd ones by parity, even by S_2j = S_j^2.
 
     Row j*m + b of the parity check H holds bit b of alpha^((2j+1)i) over the
-    positions i, so H y gives the odd syndromes bit by bit.
+    positions i, so the parities of H's rows with y give the odd syndromes
+    bit by bit.
     """
-    t1 = code.params.t1
-    field = code.field
-    bits = np.bitwise_count(code.parity.words & y_words).sum(axis=1, dtype=np.int64) & 1
-    odd = bits.reshape(t1, field.m) @ code._syn_weights
-    syn = [0] * (2 * t1)
-    syn[0::2] = odd.tolist()
-    exp, log = field.exp, field.log
-    for j in range(2, 2 * t1 + 1, 2):
+    exp, log = code.field.exp, code.field.log
+    syn = []
+    for block in code._h_blocks:
+        s = 0
+        for b, row in enumerate(block):
+            s |= ((row & y).bit_count() & 1) << b
+        syn += [s, 0]
+    for j in range(2, len(syn) + 1, 2):
         h = syn[j // 2 - 1]
         syn[j - 1] = exp[2 * log[h]] if h else 0
-    return np.array(syn, dtype=np.int64)
+    return syn
 
 
 def _berlekamp_massey(field: GF2m, syndromes) -> tuple[list[int], int]:
     """Minimal LFSR for the syndrome sequence; returns (sigma, L)."""
     exp, log = field.exp, field.log
     nn = field.n
-    syndromes = [int(s) for s in syndromes]
     C = [1]
     B = [1]
     L = 0
@@ -481,51 +487,48 @@ def _berlekamp_massey(field: GF2m, syndromes) -> tuple[list[int], int]:
             shift += 1
             continue
         coef_log = (log[d] - log[b]) % nn
-        if 2 * L <= i:
-            T = C[:]
-            need = len(B) + shift
-            if len(C) < need:
-                C = C + [0] * (need - len(C))
-            for j, bj in enumerate(B):
-                if bj:
-                    C[j + shift] ^= exp[log[bj] + coef_log]
-            L = i + 1 - L
-            B = T
-            b = d
-            shift = 1
-        else:
-            need = len(B) + shift
-            if len(C) < need:
-                C = C + [0] * (need - len(C))
-            for j, bj in enumerate(B):
-                if bj:
-                    C[j + shift] ^= exp[log[bj] + coef_log]
+        # C -= (d/b) x^shift B; the length grows when 2L <= i
+        T = C[:] if 2 * L <= i else None
+        C += [0] * (len(B) + shift - len(C))
+        for j, bj in enumerate(B):
+            if bj:
+                C[j + shift] ^= exp[log[bj] + coef_log]
+        if T is None:
             shift += 1
+        else:
+            L, B, b, shift = i + 1 - L, T, d, 1
     while len(C) > 1 and C[-1] == 0:
         C.pop()
     return C, L
 
 
-def _chien_roots(code: PbchCode, sigma: list[int]) -> np.ndarray:
-    """Positions i with sigma(alpha^{-i}) = 0, via a full table sweep."""
+def _chien_roots(code: PbchCode, sigma: list[int]) -> list[int]:
+    """Positions i with sigma(alpha^{-i}) = 0, via a full table sweep.
+
+    A degree-1 locator 1 + sigma_1 x has its one root at alpha^i = sigma_1.
+    """
     n = code.params.n
     log = code.field.log
+    if len(sigma) == 2:
+        return [log[sigma[1]]]
     terms = [kk for kk in range(1, len(sigma)) if sigma[kk]]
     acc = np.full(n, sigma[0], dtype=np.int64)
     if terms:
         logs = np.array([log[sigma[kk]] for kk in terms], dtype=np.int64)
-        vals = code._exp2_np[logs[:, None] + code._chien_pows[terms]]
+        vals = code.field.exp_np[logs[:, None] + code._chien_pows[terms]]
         acc ^= np.bitwise_xor.reduce(vals, axis=0)
-    zero_e = np.flatnonzero(acc == 0)
-    return (n - zero_e) % n
+    return ((n - np.flatnonzero(acc == 0)) % n).tolist()
 
 
-def _extract_message(code: PbchCode, c_words: np.ndarray) -> BitVector:
-    k = code.params.k
-    par = (
-        np.bitwise_count(code.msg_inverse.words & c_words).sum(axis=1) & 1
-    ).astype(np.uint8)
-    return BitVector(k, pack_bits(par))
+def _extract_message(code: PbchCode, c: BitVector) -> BitVector:
+    """The message T c read off a word, from the polynomials of T."""
+    big_k = code.params.k + code.params.l
+    low = (1 << big_k) - 1
+    prod = 0
+    for j, byte in enumerate((c.value & low).to_bytes((big_k + 7) >> 3, "little")):
+        if byte:
+            prod ^= code._u_bytes[byte] << 8 * j
+    return BitVector(code.params.k, poly_divmod(prod & low, code._q)[1])
 
 
 def decode(code: PbchCode, y: BitVector) -> DecodeOutcome:
@@ -537,34 +540,37 @@ def decode(code: PbchCode, y: BitVector) -> DecodeOutcome:
     """
     if y.n != code.params.n:
         raise ValueError("received word length must be n=%d" % code.params.n)
-    c_words, status, z_weight = _decode_words(code, y.words)
-    return DecodeOutcome(_extract_message(code, c_words), status, z_weight)
+    c, status, z_weight = _decode_words(code, y)
+    return DecodeOutcome(_extract_message(code, c), status, z_weight)
 
 
-def _decode_words(code: PbchCode, y_words: np.ndarray) -> tuple[np.ndarray, str, int]:
+def _decode_words(code: PbchCode, y: BitVector) -> tuple[BitVector, str, int]:
     """Decoder core: (word the message is read from, status, z weight)."""
     params = code.params
     if params.r == 0:
-        return y_words, "corrected", 0
-    syn = _syndromes(code, y_words)
-    if not syn.any():
-        return y_words, "corrected", 0
+        return y, "corrected", 0
+    syn = _syndromes(code, y.value)
+    if not any(syn):
+        return y, "corrected", 0
     sigma, L = _berlekamp_massey(code.field, syn)
     if L > params.t1 or len(sigma) - 1 != L:
-        return y_words, "detected_failure", 0
+        return y, "detected_failure", 0
     roots = _chien_roots(code, sigma)
-    if roots.size != L:
-        return y_words, "detected_failure", 0
-    # apply the estimate, then insist the result is an actual codeword
-    c_words = y_words.copy()
+    if len(roots) != L:
+        return y, "detected_failure", 0
+    # insist the estimate leads to an actual codeword: its odd syndromes
+    # must equal y's (the even ones follow by squaring on both sides)
+    exp, n = code.field.exp, params.n
+    for j in range(1, 2 * params.t1, 2):
+        s = syn[j - 1]
+        for i in roots:
+            s ^= exp[i * j % n]
+        if s:
+            return y, "detected_failure", 0
+    c = y.value
     for i in roots:
-        c_words[i >> 6] ^= np.uint64(1 << (int(i) & 63))
-    n = params.n
-    check = (roots[:, None] * code._syn_exponents[None, :]) % n
-    resid = syn ^ np.bitwise_xor.reduce(code._exp_np[check], axis=0)
-    if resid.any():
-        return y_words, "detected_failure", 0
-    return c_words, "corrected", int(L)
+        c ^= 1 << i
+    return BitVector(n, c), "corrected", L
 
 
 # ---------------------------------------------------------------------------
@@ -612,8 +618,7 @@ def verify_distances(code: PbchCode) -> tuple[int, int]:
     if p.r == 0:
         d1_true = 0
     else:
-        rows = [code.gen_message.row_int(i) for i in range(p.k)]
-        rows += [code.gen_mask.row_int(i) for i in range(p.l)]
+        rows = code.gen_message.row_ints() + code.gen_mask.row_ints()
         kmask = (1 << p.k) - 1
         d1_true = _gray_min_weight(rows, skip=lambda st: not (st & kmask))
     return d0_true, d1_true

@@ -6,12 +6,16 @@ Conventions used throughout the package:
   coefficient of alpha^i in the polynomial basis.
 * Binary polynomials are plain ints; bit i is the coefficient of x^i.  The
   zero polynomial is 0 and its degree is ``None``.
-* Vectors and matrices over GF(2) are bit-packed into numpy uint64 words,
-  least significant bit first, so word-level XOR/AND/popcount do the heavy
+* Vectors over GF(2) are plain ints (bit i is entry i) wrapped with their
+  length in ``BitVector``; the scalar codec computes on the ints directly.
+* Matrices over GF(2) are bit-packed into numpy uint64 words, least
+  significant bit first, so word-level XOR/AND/popcount do the heavy
   lifting at n = 1023.
 """
 
 from __future__ import annotations
+
+import operator
 
 import numpy as np
 
@@ -150,8 +154,8 @@ class GF2m:
             raise ValueError("polynomial is not primitive for GF(2^%d)" % m)
         self.exp = tuple(exp)
         self.log = tuple(log)
-        # exp restricted to one period, as an array for vectorized lookups
-        self.exp_np = np.array(exp[: self.n], dtype=np.int64)
+        # the same two periods as an array, for vectorized lookups
+        self.exp_np = np.array(exp, dtype=np.int64)
         self.exp_np.flags.writeable = False
 
     def _check(self, a: int) -> None:
@@ -190,31 +194,21 @@ def _n_words(n: int) -> int:
     return (n + 63) >> 6
 
 
-def pack_bits(bits: np.ndarray) -> np.ndarray:
-    """Pack a uint8 0/1 array into little-endian uint64 words."""
-    raw = np.packbits(bits, bitorder="little").tobytes()
-    pad = -len(raw) % _WORD_BYTES
-    if pad:
-        raw += b"\x00" * pad
-    return np.frombuffer(raw, dtype="<u8").astype(np.uint64)
+def _bits_to_int(bits: np.ndarray) -> int:
+    """A flat 0/1 (or bool) array as an int, element i as bit i."""
+    return int.from_bytes(np.packbits(bits, bitorder="little").tobytes(), "little")
 
 
-def unpack_bits(words: np.ndarray, n: int) -> np.ndarray:
-    """Inverse of pack_bits; returns a uint8 array of length n."""
-    raw = np.frombuffer(words.astype("<u8").tobytes(), dtype=np.uint8)
-    return np.unpackbits(raw, count=n, bitorder="little")
+def _pack_rows(bits: np.ndarray) -> np.ndarray:
+    """Pack the 0/1 rows of a 2-D array into little-endian uint64 words."""
+    rows, cols = bits.shape
+    raw = np.zeros((rows, _n_words(cols) * _WORD_BYTES), dtype=np.uint8)
+    raw[:, : (cols + 7) >> 3] = np.packbits(bits, axis=1, bitorder="little")
+    return raw.view("<u8").astype(np.uint64)
 
 
 def words_to_int(words: np.ndarray) -> int:
     return int.from_bytes(words.astype("<u8").tobytes(), "little")
-
-
-def int_to_words(value: int, n: int) -> np.ndarray:
-    if value < 0 or value.bit_length() > n:
-        raise ValueError("value does not fit in %d bits" % n)
-    nw = _n_words(n)
-    raw = value.to_bytes(nw * _WORD_BYTES, "little")
-    return np.frombuffer(raw, dtype="<u8").astype(np.uint64)
 
 
 # ---------------------------------------------------------------------------
@@ -222,71 +216,78 @@ def int_to_words(value: int, n: int) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 class BitVector:
-    """Immutable-by-convention GF(2) vector packed into uint64 words."""
+    """Immutable GF(2) vector of length n held as one int; bit i is entry i.
 
-    __slots__ = ("n", "words")
+    ``words`` gives the packed little-endian uint64 words, made on demand
+    and read-only, for code that works on numpy arrays; ``__array__`` hands
+    numpy the same words, so ``np.array_equal(v, words)`` compares values.
+    """
 
-    def __init__(self, n: int, words: np.ndarray | None = None):
+    __slots__ = ("n", "value")
+
+    def __init__(self, n: int, value: int = 0):
+        value = operator.index(value)
         if n < 0:
             raise ValueError("length must be nonnegative")
-        self.n = n
-        if words is None:
-            words = np.zeros(_n_words(n), dtype=np.uint64)
-        elif len(words) != _n_words(n):
-            raise ValueError("word count does not match length")
-        self.words = words
+        if value < 0 or value >> n:
+            raise ValueError("value does not fit in %d bits" % n)
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "value", value)
+
+    def __setattr__(self, name, val):
+        raise AttributeError("BitVector is immutable")
 
     @classmethod
     def from_bits(cls, bits) -> "BitVector":
         arr = np.asarray(bits, dtype=np.uint8)
         if arr.ndim != 1 or np.any(arr > 1):
             raise ValueError("bits must be a flat 0/1 sequence")
-        return cls(len(arr), pack_bits(arr))
+        return cls(len(arr), _bits_to_int(arr))
 
     @classmethod
     def from_int(cls, n: int, value: int) -> "BitVector":
-        return cls(n, int_to_words(value, n))
+        return cls(n, value)
 
     @classmethod
     def from_indices(cls, n: int, indices) -> "BitVector":
-        v = cls(n)
-        for i in indices:
+        value = 0
+        for i in map(operator.index, indices):
             if not 0 <= i < n:
                 raise ValueError("index %d out of range" % i)
-            v.words[i >> 6] |= np.uint64(1 << (i & 63))
-        return v
+            value |= 1 << i
+        return cls(n, value)
+
+    @property
+    def words(self) -> np.ndarray:
+        raw = self.value.to_bytes(_n_words(self.n) * _WORD_BYTES, "little")
+        return np.frombuffer(raw, dtype="<u8")
+
+    def __array__(self, dtype=None, copy=None):
+        return np.array(self.words, dtype=dtype, copy=copy)
 
     def get(self, i: int) -> int:
         if not 0 <= i < self.n:
             raise ValueError("index %d out of range" % i)
-        return int(self.words[i >> 6] >> np.uint64(i & 63)) & 1
+        return (self.value >> i) & 1
 
     def weight(self) -> int:
-        return int(np.bitwise_count(self.words).sum())
+        return self.value.bit_count()
 
     def bits(self) -> np.ndarray:
-        return unpack_bits(self.words, self.n)
+        raw = np.frombuffer(self.value.to_bytes((self.n + 7) >> 3, "little"), np.uint8)
+        return np.unpackbits(raw, count=self.n, bitorder="little")
 
     def indices(self) -> np.ndarray:
         return np.flatnonzero(self.bits())
 
-    def to_int(self) -> int:
-        return words_to_int(self.words)
-
-    def copy(self) -> "BitVector":
-        return BitVector(self.n, self.words.copy())
-
     def __xor__(self, other: "BitVector") -> "BitVector":
         if self.n != other.n:
             raise ValueError("length mismatch")
-        return BitVector(self.n, self.words ^ other.words)
+        return BitVector(self.n, self.value ^ other.value)
 
     def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, BitVector)
-            and self.n == other.n
-            and bool(np.array_equal(self.words, other.words))
-        )
+        return (isinstance(other, BitVector)
+                and (self.n, self.value) == (other.n, other.value))
 
     def __len__(self) -> int:
         return self.n
@@ -336,16 +337,20 @@ class BitMatrix:
         arr = np.asarray(dense, dtype=np.uint8)
         if arr.ndim != 2:
             raise ValueError("dense matrix must be 2-D")
-        m = cls(arr.shape[0], arr.shape[1])
-        for i in range(arr.shape[0]):
-            m.words[i] = pack_bits(arr[i])
-        return m
+        return cls(arr.shape[0], arr.shape[1], _pack_rows(arr))
 
     def row(self, i: int) -> BitVector:
-        return BitVector(self.cols, self.words[i].copy())
+        return BitVector(self.cols, self.row_int(i))
 
     def row_int(self, i: int) -> int:
         return words_to_int(self.words[i])
+
+    def row_ints(self) -> list[int]:
+        """All rows as ints (bit j = column j), from one byte copy."""
+        raw = self.words.astype("<u8").tobytes()
+        step = _n_words(self.cols) * _WORD_BYTES
+        return [int.from_bytes(raw[i * step:(i + 1) * step], "little")
+                for i in range(self.rows)]
 
     def get(self, i: int, j: int) -> int:
         if not (0 <= i < self.rows and 0 <= j < self.cols):
@@ -379,24 +384,19 @@ class BitMatrix:
         """v * M for a length-``rows`` vector: XOR of the selected rows."""
         if v.n != self.rows:
             raise ValueError("vector length must equal row count")
-        idx = v.indices()
-        out = np.zeros(_n_words(self.cols), dtype=np.uint64)
-        if idx.size:
-            out = np.bitwise_xor.reduce(self.words[idx], axis=0)
-        return BitVector(self.cols, out)
+        out = np.bitwise_xor.reduce(self.words[v.indices()], axis=0)
+        return BitVector(self.cols, words_to_int(out))
 
     def matvec_parity(self, v: BitVector) -> BitVector:
         """M * v^T for a length-``cols`` vector: per-row AND parity."""
         if v.n != self.cols:
             raise ValueError("vector length must equal column count")
-        if self.rows == 0:
-            return BitVector(0)
-        par = (np.bitwise_count(self.words & v.words).sum(axis=1) & 1).astype(np.uint8)
-        return BitVector(self.rows, pack_bits(par))
+        par = np.bitwise_count(self.words & v.words).sum(axis=1) & 1
+        return BitVector(self.rows, _bits_to_int(par))
 
     def column_ints(self) -> list[int]:
         """Columns as ints (bit i = row i); handy for small solves."""
-        return [words_to_int(w) for w in self.transpose().words]
+        return self.transpose().row_ints()
 
     def copy(self) -> "BitMatrix":
         return BitMatrix(self.rows, self.cols, self.words.copy())

@@ -20,7 +20,7 @@ import numpy as np
 
 from .channel import ChannelParams, sample_defects, sample_errors, transmit
 from .codec import PbchCode, _decode_words, _extract_message, encode
-from .gf2 import BitVector, pack_bits
+from .gf2 import BitVector, _bits_to_int
 
 __all__ = ["BLOCK_TRIALS", "SimResult", "run_trials", "trial_rng", "wilson_interval"]
 
@@ -88,16 +88,15 @@ class SimResult:
 def _trial_outcome(code: PbchCode, ch: ChannelParams, rng: np.random.Generator):
     """One trial; draw order is message bits, defects, errors."""
     p = code.params
-    w_bits = rng.integers(0, 2, size=p.k, dtype=np.uint8)
-    w = BitVector(p.k, pack_bits(w_bits))
+    w = BitVector(p.k, _bits_to_int(rng.integers(0, 2, size=p.k, dtype=np.uint8)))
     s = sample_defects(p.n, ch, rng)
     c, mres = encode(code, w, s)
     z = sample_errors(s, ch, rng)
     y = transmit(c, s, z)
-    c_hat, _, _ = _decode_words(code, y.words)
+    c_hat, _, _ = _decode_words(code, y)
     # the message map sends the written codeword back to w, so reading
     # the message off is needed only when the decoder lands elsewhere
-    if np.array_equal(c_hat, c.words):
+    if c_hat == c:
         return mres.unmasked > 0, False
     return mres.unmasked > 0, _extract_message(code, c_hat) != w
 

@@ -32,8 +32,6 @@ class TestChannelParams:
             ChannelParams(-0.1, 0.0)
         with pytest.raises(ValueError):
             ChannelParams(0.0, 1.5)
-        with pytest.raises(ValueError):
-            ChannelParams(0.0, 0.0, q=3)
 
 
 class TestDefectVector:
@@ -48,6 +46,11 @@ class TestDefectVector:
         bad_values = BitVector.from_indices(8, [2])
         with pytest.raises(ValueError):
             DefectVector(mask, bad_values)
+        # also past the first 64 cells, and with a shared bit
+        mask = BitVector.from_indices(130, [3, 100])
+        with pytest.raises(ValueError):
+            DefectVector(mask, BitVector.from_indices(130, [3, 129]))
+        assert DefectVector(mask, BitVector.from_indices(130, [100])).u == 2
 
     def test_all_clear(self):
         s = DefectVector.all_clear(10)
@@ -81,7 +84,7 @@ class TestSampling:
         for _ in range(200):
             s = sample_defects(64, ch, rng)
             z = sample_errors(s, ch, rng)
-            assert not np.any(z.words & s.mask.words)
+            assert not z.value & s.mask.value
 
     def test_stream_alignment_across_epsilon(self):
         # defect sampling consumes a fixed number of draws regardless of the

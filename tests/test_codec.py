@@ -21,7 +21,7 @@ from plbc.codec import (
     verify_distances,
 )
 from plbc.errors import ConstructionError
-from plbc.gf2 import BitMatrix, BitVector, _n_words, rank, rref, unpack_bits
+from plbc.gf2 import BitMatrix, BitVector, _n_words, rank, rref
 
 CANDIDATE_FAMILY_1023 = [
     (0, 100, 0, 21),
@@ -54,7 +54,7 @@ def rref_message_inverse(gen_message, gen_mask):
     assert len(pivots) == k + l
     dense = np.zeros((k, n), dtype=np.uint8)
     for i, col in enumerate(pivots):
-        dense[np.flatnonzero(unpack_bits(red.words[i], n + k)[n:]), col] = 1
+        dense[BitVector(k, red.row_int(i) >> n).indices(), col] = 1
     return BitMatrix.from_dense(dense)
 
 

@@ -6,7 +6,6 @@ from plbc.gf2 import (
     BitMatrix,
     BitVector,
     _solve_aug_rows,
-    pack_bits,
     poly_degree,
     poly_divmod,
     poly_eval,
@@ -14,7 +13,6 @@ from plbc.gf2 import (
     poly_reciprocal,
     rank,
     rref,
-    unpack_bits,
 )
 
 F16 = GF2m(4)
@@ -143,24 +141,57 @@ class TestPacking:
         rng = np.random.default_rng(5)
         for n in (1, 7, 63, 64, 65, 1023):
             bits = rng.integers(0, 2, size=n, dtype=np.uint8)
-            assert np.array_equal(unpack_bits(pack_bits(bits), n), bits)
+            assert np.array_equal(BitVector.from_bits(bits).bits(), bits)
 
     def test_bitvector_int_roundtrip(self):
         v = BitVector.from_int(70, (1 << 69) | 5)
-        assert v.to_int() == (1 << 69) | 5
+        assert v.value == (1 << 69) | 5
         assert v.weight() == 3
         assert list(v.indices()) == [0, 2, 69]
 
     def test_bitvector_xor_eq(self):
         a = BitVector.from_int(20, 0b1100)
         b = BitVector.from_int(20, 0b1010)
-        assert (a ^ b).to_int() == 0b0110
+        assert (a ^ b).value == 0b0110
         assert a == BitVector.from_indices(20, [2, 3])
 
     def test_get(self):
         v = BitVector.from_int(130, 1 << 128)
         assert v.get(128) == 1
         assert v.get(0) == 0
+
+
+class TestBitVector:
+    def test_value_must_fit_length(self):
+        with pytest.raises(ValueError):
+            BitVector(3, 0b1000)
+        with pytest.raises(ValueError):
+            BitVector(3, -1)
+        with pytest.raises(ValueError):
+            BitVector.from_int(64, 1 << 64)
+        assert BitVector(3, 0b111).weight() == 3
+
+    def test_immutable(self):
+        v = BitVector(8, 5)
+        with pytest.raises(AttributeError):
+            v.value = 7
+        with pytest.raises(AttributeError):
+            v.n = 9
+
+    def test_words_read_only(self):
+        v = BitVector.from_int(130, (1 << 129) | 3)
+        with pytest.raises(ValueError):
+            v.words[0] = 0
+        assert v.value == (1 << 129) | 3
+
+    def test_words_and_array(self):
+        for n, value in [(0, 0), (15, 0b101), (64, 1 << 63), (130, (1 << 129) | 3)]:
+            v = BitVector.from_int(n, value)
+            assert v.words.dtype == np.uint64
+            assert len(v.words) == (n + 63) // 64
+            assert np.array_equal(v, v.words)
+            assert int.from_bytes(v.words.tobytes(), "little") == value
+        assert not np.array_equal(BitVector(15, 4), BitVector(15, 5).words)
 
 
 class TestBitMatrix:
@@ -171,7 +202,7 @@ class TestBitMatrix:
             dense = rng.integers(0, 2, size=(rows, cols), dtype=np.uint8)
             mat = BitMatrix.from_dense(dense)
             sel = rng.integers(0, 2, size=rows, dtype=np.uint8)
-            got = mat.vecmat(BitVector(rows, pack_bits(sel)))
+            got = mat.vecmat(BitVector.from_bits(sel))
             want = (sel @ dense) % 2
             assert np.array_equal(got.bits(), want.astype(np.uint8))
 
@@ -182,7 +213,7 @@ class TestBitMatrix:
             dense = rng.integers(0, 2, size=(rows, cols), dtype=np.uint8)
             mat = BitMatrix.from_dense(dense)
             v = rng.integers(0, 2, size=cols, dtype=np.uint8)
-            got = mat.matvec_parity(BitVector(cols, pack_bits(v)))
+            got = mat.matvec_parity(BitVector.from_bits(v))
             want = (dense @ v) % 2
             assert np.array_equal(got.bits(), want.astype(np.uint8))
 
@@ -261,13 +292,13 @@ class TestSolveRowSystem:
             dense = rng.integers(0, 2, size=(l, u), dtype=np.uint8)
             a = BitMatrix.from_dense(dense)
             b_bits = rng.integers(0, 2, size=u, dtype=np.uint8)
-            b = BitVector(u, pack_bits(b_bits))
+            b = BitVector.from_bits(b_bits)
             x = solve_by_aug_rows(a, b)
             if x is None:
                 misses += 1
                 # b must lie outside the row space
                 rows = [a.row_int(i) for i in range(l)]
-                assert dense_rank(rows + [b.to_int()], u) == dense_rank(rows, u) + 1
+                assert dense_rank(rows + [b.value], u) == dense_rank(rows, u) + 1
             else:
                 hits += 1
                 assert a.vecmat(x) == b
@@ -280,7 +311,7 @@ class TestSolveRowSystem:
             dense = rng.integers(0, 2, size=(l, u), dtype=np.uint8)
             a = BitMatrix.from_dense(dense)
             x0 = rng.integers(0, 2, size=l, dtype=np.uint8)
-            b = a.vecmat(BitVector(l, pack_bits(x0)))
+            b = a.vecmat(BitVector.from_bits(x0))
             x = solve_by_aug_rows(a, b)
             assert x is not None
             assert a.vecmat(x) == b

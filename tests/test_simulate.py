@@ -3,7 +3,7 @@ import pytest
 
 from plbc.channel import ChannelParams, sample_defects, sample_errors, transmit
 from plbc.codec import decode, encode
-from plbc.gf2 import BitVector, pack_bits
+from plbc.gf2 import BitVector
 from plbc.simulate import (
     BLOCK_TRIALS,
     _worker_count,
@@ -160,7 +160,7 @@ class TestGuaranteedRegion:
             if z.weight() > 1:
                 continue
             accepted += 1
-            w = BitVector(7, pack_bits(w_bits))
+            w = BitVector.from_bits(w_bits)
             c, _ = encode(code15, w, s)
             y = transmit(c, s, z)
             if decode(code15, y).w_hat != w:
