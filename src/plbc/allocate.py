@@ -134,7 +134,7 @@ def _sim_metric(cand, n, k, ch, trials, seed, threads, stop_after_failures):
         code, ch, trials, seed,
         threads=threads,
         stop_after_failures=stop_after_failures,
-        stream=cand.index,
+        stream=cand.params.t0,
     )
     note = "not estimable" if sres.decoding_failures == 0 else None
     return CandidateResult(
@@ -160,8 +160,9 @@ def allocate(
 
     method 'bound' uses the closed-form upper bound (aw_method selects the
     weight-distribution source); 'simulation' runs ``trials`` Monte Carlo
-    trials per candidate, each candidate on its own RNG stream derived from
-    the shared seed by candidate index.  Ties go to the smallest l.
+    trials per candidate, each on stream t0 = l / m of the shared seed, the
+    stream ``plbc simulate`` uses for the same code.  Ties go to the
+    smallest l.
     """
     cands = enumerate_candidates(n, k, m)
     if method == "bound":

@@ -25,6 +25,7 @@ import numpy as np
 from .channel import ChannelParams
 from .codec import PlbcParams, masking_polys
 from .errors import NumericError
+from .gf2 import _span_weight_counts
 
 __all__ = [
     "BoundResult",
@@ -277,23 +278,11 @@ def _binomial_counts(n: int, l: int, d0: int) -> np.ndarray:
     return counts
 
 
-def _span_weight_counts(row_ints: list[int], n: int) -> list[int]:
-    """Exact weight histogram of the span of row_ints (Gray-code walk)."""
-    dim = len(row_ints)
-    counts = [0] * (n + 1)
-    counts[0] = 1
-    cur = 0
-    for i in range(1, 1 << dim):
-        cur ^= row_ints[(i & -i).bit_length() - 1]
-        counts[cur.bit_count()] += 1
-    return counts
-
-
 @functools.lru_cache(maxsize=32)
 def weight_distribution(n: int, l: int, d0: int, method: str) -> WeightDistribution:
     """A_w for the [n, n-l] code whose parity check is the masking generator.
 
-    Methods: 'exact-enumeration' walks all 2^(n-l) codewords,
+    Methods: 'exact-enumeration' counts all 2^(n-l) codewords,
     'macwilliams' enumerates the 2^l dual and transforms, and
     'binomial-approx' uses A_w = C(n, w) 2^(-l) above d0.  The two exact
     methods take (h*, p) from ``codec.masking_polys`` and raise its

@@ -164,11 +164,10 @@ def _cmd_simulate(args) -> int:
     rows = []
     for params in _sweep_params(args):
         code = construct_pbch(params.n, params.k, params.l)
-        stream = params.l // params.m
         for cid, ch in _channels(args):
             res = run_trials(
                 code, ch, args.trials, args.seed,
-                threads=threads, stop_after_failures=stop, stream=stream,
+                threads=threads, stop_after_failures=stop, stream=params.t0,
             )
             rows.append([
                 cid, ch.epsilon, ch.p, params.l, params.r,

@@ -28,6 +28,7 @@ from .gf2 import (
     BitVector,
     GF2m,
     _solve_aug_rows,
+    _span_weight_counts,
     poly_degree,
     poly_divmod,
     poly_reciprocal,
@@ -545,7 +546,14 @@ def decode(code: PbchCode, y: BitVector) -> DecodeOutcome:
 
 
 def _decode_words(code: PbchCode, y: BitVector) -> tuple[BitVector, str, int]:
-    """Decoder core: (word the message is read from, status, z weight)."""
+    """Decoder core: (word the message is read from, status, z weight).
+
+    Flipping the roots needs no syndrome check after it.  A locator of
+    degree L <= t1 with L distinct roots X_i generates S_1..S_2t1, so
+    S_j = sum Y_i X_i^j; S_2j = S_j^2 makes each Y_i 0 or 1, and the
+    minimality of L makes every Y_i 1.  The flipped word thus has
+    S_1..S_2t1 = 0: it is a multiple of g.
+    """
     params = code.params
     if params.r == 0:
         return y, "corrected", 0
@@ -558,45 +566,22 @@ def _decode_words(code: PbchCode, y: BitVector) -> tuple[BitVector, str, int]:
     roots = _chien_roots(code, sigma)
     if len(roots) != L:
         return y, "detected_failure", 0
-    # insist the estimate leads to an actual codeword: its odd syndromes
-    # must equal y's (the even ones follow by squaring on both sides)
-    exp, n = code.field.exp, params.n
-    for j in range(1, 2 * params.t1, 2):
-        s = syn[j - 1]
-        for i in roots:
-            s ^= exp[i * j % n]
-        if s:
-            return y, "detected_failure", 0
     c = y.value
     for i in roots:
         c ^= 1 << i
-    return BitVector(n, c), "corrected", L
+    return BitVector(params.n, c), "corrected", L
 
 
 # ---------------------------------------------------------------------------
 # true minimum distances by enumeration
 # ---------------------------------------------------------------------------
 
-def _gray_min_weight(row_ints: list[int], skip=None) -> int:
-    """Minimum weight over the nonzero span of row_ints via Gray-code walk.
-
-    ``skip``, when given, is a predicate on the current combination index
-    state; combinations for which it returns True are excluded.
-    """
-    dim = len(row_ints)
-    best = None
-    cur = 0
-    state = 0
-    for i in range(1, 1 << dim):
-        flip = (i & -i).bit_length() - 1
-        cur ^= row_ints[flip]
-        state ^= 1 << flip
-        if skip is not None and skip(state):
-            continue
-        w = cur.bit_count()
-        if best is None or w < best:
-            best = w
-    return 0 if best is None else best
+def _min_weight_using(rows: list[int], k: int, n: int) -> int:
+    """Least weight over the combinations of rows that use one of the first
+    k, 0 when there is none.  The other combinations are those of rows[k:],
+    so it is the least w where the span histogram of rows exceeds theirs."""
+    excess = zip(_span_weight_counts(rows, n), _span_weight_counts(rows[k:], n))
+    return next((w for w, (a, b) in enumerate(excess) if a > b), 0)
 
 
 def verify_distances(code: PbchCode) -> tuple[int, int]:
@@ -610,15 +595,11 @@ def verify_distances(code: PbchCode) -> tuple[int, int]:
     p = code.params
     if p.n - p.l > 24 or p.k + p.l > 24:
         raise ValueError("enumeration is limited to 2^24 codewords")
-    if p.l == 0:
-        d0_true = 0
-    else:
+    d0 = d1 = 0
+    if p.l:
         rows = [code.hstar_poly << i for i in range(p.n - p.l)]
-        d0_true = _gray_min_weight(rows)
-    if p.r == 0:
-        d1_true = 0
-    else:
+        d0 = _min_weight_using(rows, len(rows), p.n)
+    if p.r:
         rows = code.gen_message.row_ints() + code.gen_mask.row_ints()
-        kmask = (1 << p.k) - 1
-        d1_true = _gray_min_weight(rows, skip=lambda st: not (st & kmask))
-    return d0_true, d1_true
+        d1 = _min_weight_using(rows, p.k, p.n)
+    return d0, d1

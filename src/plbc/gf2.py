@@ -414,7 +414,7 @@ class BitMatrix:
 
 
 # ---------------------------------------------------------------------------
-# elimination
+# row spaces: elimination and enumeration
 # ---------------------------------------------------------------------------
 
 def rref(mat: BitMatrix, n_pivot_cols: int | None = None) -> tuple[BitMatrix, list[int]]:
@@ -495,3 +495,30 @@ def _solve_aug_rows(rows: list[int], width: int) -> int | None:
         if rows[i] & rhs:
             x |= 1 << col
     return x
+
+
+_SPAN_BLOCK_WORDS = 1 << 16  # words of pair XORs held at once (512 KiB)
+
+
+def _span_weight_counts(rows: list[int], n: int) -> list[int]:
+    """Weight histogram, as ints, of all 2^len(rows) XOR combinations of
+    length-n rows (with multiplicity, the empty one included).
+
+    Meet in the middle: the combinations of each half of the rows as packed
+    words, and the weights of all pairs' XORs a block of words at a time.
+    """
+    def combos(half):
+        out = np.zeros((1, _n_words(n)), dtype=np.uint64)
+        for row in BitMatrix.from_row_ints(half, n).words:
+            out = np.concatenate((out, out ^ row))
+        return out
+
+    half = len(rows) // 2
+    left, right = combos(rows[:half]), combos(rows[half:])
+    step = max(1, _SPAN_BLOCK_WORDS // right.size)
+    counts = np.zeros(n + 1, dtype=np.int64)
+    for lo in range(0, len(left), step):
+        pairs = left[lo:lo + step, None, :] ^ right[None, :, :]
+        weights = np.bitwise_count(pairs).sum(axis=2, dtype=np.int64)
+        counts += np.bincount(weights.ravel(), minlength=n + 1)
+    return counts.tolist()

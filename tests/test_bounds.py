@@ -127,9 +127,13 @@ class TestWeightDistribution:
         assert wd.counts.sum() == 2 ** 11
 
     def test_macwilliams_equals_enumeration(self):
-        for l, d0 in [(4, 3), (8, 5)]:
-            mac = weight_distribution(15, l, d0, "macwilliams")
-            ref = weight_distribution(15, l, d0, "exact-enumeration")
+        # every (n, l, d0) at n <= 31 where both methods run: n - l <= 24,
+        # l <= 24 and deg h* = l
+        for n, l, d0 in [(15, 0, 0), (15, 4, 3), (15, 8, 5), (15, 10, 7),
+                         (15, 14, 9), (15, 14, 11), (15, 14, 13), (15, 14, 15),
+                         (31, 10, 5), (31, 15, 7), (31, 20, 9), (31, 20, 11)]:
+            mac = weight_distribution(n, l, d0, "macwilliams")
+            ref = weight_distribution(n, l, d0, "exact-enumeration")
             assert np.array_equal(mac.counts, ref.counts)
 
     def test_whole_space_via_macwilliams(self):

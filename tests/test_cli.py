@@ -2,6 +2,8 @@ import json
 
 import pytest
 
+from plbc.allocate import allocate
+from plbc.channel import ChannelParams
 from plbc.cli import main
 
 GOLDEN_CANDIDATES = """\
@@ -473,6 +475,21 @@ class TestSimulate:
         assert main(argv + ["--out", str(f1)]) == 0
         assert main(argv + ["--out", str(f2)]) == 0
         assert f1.read_bytes() == f2.read_bytes()
+
+    def test_same_stream_as_allocation(self, capsys):
+        # both pick RNG stream t0 for a code, so they count the same trials
+        rc, out, _ = run_cli(
+            capsys, "simulate", "--n", "15", "--k", "7", "--l", "4",
+            "--epsilon", "0.2", "--p", "0.02", "--trials", "2048", "--seed", "33",
+            "--threads", "1", "--stop-after-failures", "0",
+        )
+        assert rc == 0
+        row = out.strip().splitlines()[2].split(",")
+        rep = allocate(15, 7, None, ChannelParams(0.2, 0.02), "simulation",
+                       trials=2048, seed=33)
+        sim = next(r.detail for r in rep.results if r.candidate.l == 4)
+        want = [str(sim.trials), str(sim.masking_failures), str(sim.decoding_failures)]
+        assert row[5:8] == want == ["2048", "293", "198"]
 
     def test_json_format(self, capsys):
         rc, out, _ = run_cli(

@@ -10,6 +10,8 @@ from plbc.bounds import weight_distribution
 from plbc.channel import DefectVector, transmit
 from plbc.codec import (
     _check_code_identities,
+    _decode_words,
+    _min_weight_using,
     construct_pbch,
     decode,
     encode,
@@ -21,7 +23,7 @@ from plbc.codec import (
     verify_distances,
 )
 from plbc.errors import ConstructionError
-from plbc.gf2 import BitMatrix, BitVector, _n_words, rank, rref
+from plbc.gf2 import BitMatrix, BitVector, _n_words, poly_divmod, rank, rref
 
 CANDIDATE_FAMILY_1023 = [
     (0, 100, 0, 21),
@@ -56,6 +58,35 @@ def rref_message_inverse(gen_message, gen_mask):
     for i, col in enumerate(pivots):
         dense[BitVector(k, red.row_int(i) >> n).indices(), col] = 1
     return BitMatrix.from_dense(dense)
+
+
+def gray_min_weight(row_ints, skip=None):
+    """Reference: least weight over the nonzero combinations of row_ints by
+    a Gray-code walk, leaving out those whose index state ``skip`` accepts."""
+    best = None
+    cur = state = 0
+    for i in range(1, 1 << len(row_ints)):
+        flip = (i & -i).bit_length() - 1
+        cur ^= row_ints[flip]
+        state ^= 1 << flip
+        if skip is not None and skip(state):
+            continue
+        if best is None or cur.bit_count() < best:
+            best = cur.bit_count()
+    return 0 if best is None else best
+
+
+def gray_distances(code):
+    """Reference (d0, d1): d1 leaves out the combinations of G0's rows alone."""
+    p = code.params
+    d0 = d1 = 0
+    if p.l:
+        d0 = gray_min_weight([code.hstar_poly << i for i in range(p.n - p.l)])
+    if p.r:
+        rows = code.gen_message.row_ints() + code.gen_mask.row_ints()
+        kmask = (1 << p.k) - 1
+        d1 = gray_min_weight(rows, skip=lambda st: not (st & kmask))
+    return d0, d1
 
 
 def all_messages(k):
@@ -149,6 +180,38 @@ class TestConstruction:
         only_ecc = construct_pbch(15, 7, 0)
         d0, d1 = verify_distances(only_ecc)
         assert (d0, d1) == (0, 5)
+
+    def test_distances_match_gray_walk(self):
+        # every code at n in {15, 31} under verify_distances' 2^24 limit
+        shapes = []
+        for n in (15, 31):
+            for k in range(1, n + 1):
+                for l in range(n - k + 1):
+                    if n - l > 24 or k + l > 24:
+                        continue
+                    try:
+                        code = construct_pbch(n, k, l)
+                    except ConstructionError:
+                        continue
+                    assert verify_distances(code) == gray_distances(code)
+                    shapes.append((n, k, l))
+        assert len(shapes) == 12
+
+    def test_min_weight_using_matches_gray_walk(self):
+        # low-weight and repeated rows past the first k must not count, and
+        # a dependent combination that uses a leading row has weight 0
+        rng = np.random.default_rng(5)
+        for trial in range(40):
+            dim = int(rng.integers(1, 9))
+            rows = [int(v) for v in rng.integers(0, 1 << 20, size=dim)]
+            if trial % 4 == 1:
+                rows[-1] = 1 << int(rng.integers(20))
+            if trial % 4 == 2:
+                rows.append(rows[0])
+            k = int(rng.integers(1, len(rows) + 1))
+            kmask = (1 << k) - 1
+            want = gray_min_weight(rows, skip=lambda st: not (st & kmask))
+            assert _min_weight_using(rows, k, 20) == want
 
     def test_verify_budget(self, code1023_l20):
         with pytest.raises(ValueError):
@@ -321,6 +384,33 @@ class TestDecode:
             else:
                 miscorrected += 1
         assert (detected, miscorrected, good) == (275, 180, 0)
+
+    @pytest.mark.parametrize("n, k, l, words", [
+        (15, 3, 4, None),  # every word of the space
+        (31, 6, 10, 8000),
+        (63, 33, 12, 8000),
+        (255, 199, 16, 20000),
+    ])
+    def test_corrections_are_codewords_within_t1(self, n, k, l, words):
+        # flipping the Chien roots of a Berlekamp-Massey locator with deg L
+        # <= t1 and L distinct roots always clears S_1..S_2t1, so every
+        # 'corrected' word is a multiple of g within t1 of the received word
+        code = construct_pbch(n, k, l)
+        if words is None:
+            ys = range(1 << n)
+        else:
+            rng = np.random.default_rng(n)
+            ys = [int.from_bytes(rng.bytes((n + 7) // 8), "little") & ((1 << n) - 1)
+                  for _ in range(words)]
+        fixed = 0
+        for y in ys:
+            c, status, z_weight = _decode_words(code, BitVector(n, y))
+            if status != "corrected":
+                continue
+            assert poly_divmod(c.value, code.g_poly)[1] == 0
+            assert (c.value ^ y).bit_count() == z_weight <= code.params.t1
+            fixed += z_weight > 0
+        assert fixed >= 100
 
     def test_r0_code_is_identity_decoder(self):
         code = construct_pbch(15, 7, 8)

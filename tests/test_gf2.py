@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 
@@ -6,6 +8,7 @@ from plbc.gf2 import (
     BitMatrix,
     BitVector,
     _solve_aug_rows,
+    _span_weight_counts,
     poly_degree,
     poly_divmod,
     poly_eval,
@@ -315,3 +318,39 @@ class TestSolveRowSystem:
             x = solve_by_aug_rows(a, b)
             assert x is not None
             assert a.vecmat(x) == b
+
+
+def brute_span_counts(rows, n):
+    """Weight histogram of every XOR combination of rows, one at a time."""
+    counts = [0] * (n + 1)
+    for pick in itertools.product((0, 1), repeat=len(rows)):
+        word = 0
+        for take, row in zip(pick, rows):
+            if take:
+                word ^= row
+        counts[word.bit_count()] += 1
+    return counts
+
+
+class TestSpanWeightCounts:
+    @pytest.mark.parametrize("n", [7, 64, 65, 130])
+    @pytest.mark.parametrize("dim", [0, 1, 2, 5, 8, 9])
+    def test_matches_brute_force(self, n, dim):
+        rng = np.random.default_rng(1000 * n + dim)
+        rows = [int.from_bytes(rng.bytes(17), "little") % (1 << n) for _ in range(dim)]
+        assert _span_weight_counts(rows, n) == brute_span_counts(rows, n)
+
+    @pytest.mark.parametrize("n", [7, 64, 65, 130])
+    def test_repeated_and_zero_rows(self, n):
+        # dependent rows count each combination, so the zero word repeats
+        rng = np.random.default_rng(n)
+        a, b, c = (int.from_bytes(rng.bytes(17), "little") % (1 << n) for _ in range(3))
+        top = 1 << (n - 1)  # the last column, past any word boundary
+        rows = [a, b, a, 0, c | top, top]
+        got = _span_weight_counts(rows, n)
+        assert got == brute_span_counts(rows, n)
+        assert got[0] >= 4 and sum(got) == 1 << len(rows)
+
+    def test_counts_are_python_ints(self):
+        got = _span_weight_counts([0b101, 0b11], 3)
+        assert got == [1, 0, 3, 0] and all(type(c) is int for c in got)
