@@ -7,7 +7,6 @@ closed-form decoding-failure bounds, and optimizes the (l, r) split.
 """
 
 from .allocate import (
-    AllocationCandidate,
     AllocationReport,
     CandidateResult,
     allocate,
@@ -64,7 +63,6 @@ from .simulate import SimResult, run_trials, trial_rng, wilson_interval
 __version__ = "0.1.0"
 
 __all__ = [
-    "AllocationCandidate",
     "AllocationReport",
     "BitMatrix",
     "BitVector",

@@ -18,11 +18,10 @@ from .bounds import (
     weight_distribution,
 )
 from .channel import ChannelParams
-from .codec import PlbcParams, construct_pbch, params_for
+from .codec import PbchCode, PlbcParams, construct_pbch, params_for
 from .simulate import SimResult, run_trials
 
 __all__ = [
-    "AllocationCandidate",
     "AllocationReport",
     "CandidateResult",
     "allocate",
@@ -31,32 +30,10 @@ __all__ = [
 
 
 @dataclass(frozen=True)
-class AllocationCandidate:
-    index: int
-    params: PlbcParams
-
-    @property
-    def l(self) -> int:
-        return self.params.l
-
-    @property
-    def r(self) -> int:
-        return self.params.r
-
-    @property
-    def d0(self) -> int:
-        return self.params.d0
-
-    @property
-    def d1(self) -> int:
-        return self.params.d1
-
-
-@dataclass(frozen=True)
 class CandidateResult:
     """One evaluated candidate; ci and note only under the simulation method."""
 
-    candidate: AllocationCandidate
+    candidate: PlbcParams
     metric: float
     ci: tuple[float, float] | None = None
     note: str | None = None
@@ -108,38 +85,44 @@ def _field_degree(n: int, m: int | None) -> int:
     return expected
 
 
-def enumerate_candidates(n: int, k: int, m: int | None = None) -> list[AllocationCandidate]:
+def enumerate_candidates(n: int, k: int, m: int | None = None) -> list[PlbcParams]:
     """All (l, r) splits of n - k with both parts multiples of m, l ascending."""
     m = _field_degree(n, m)
     if (n - k) % m:
         raise ValueError("redundancy n-k=%d is not a multiple of m=%d" % (n - k, m))
-    return [
-        AllocationCandidate(i, params_for(n, k, i * m))
-        for i in range((n - k) // m + 1)
-    ]
+    return [params_for(n, k, t0 * m) for t0 in range((n - k) // m + 1)]
 
 
-def _bound_metric(cand: AllocationCandidate, ch: ChannelParams, aw_method: str):
-    p = cand.params
+def _bound_split(params: PlbcParams, ch: ChannelParams, aw_method: str) -> BoundResult:
+    """The failure bound of one split on one channel.
+
+    A_w enters only the general regime (epsilon > 0 and l > 0), so it is
+    fetched only there.
+    """
     wd = None
-    if ch.epsilon > 0.0 and p.l > 0:
-        wd = weight_distribution(p.n, p.l, p.d0, aw_method)
-    bres = decoding_failure_bound(p, wd, ch)
-    return CandidateResult(cand, metric=bres.total, detail=bres)
+    if ch.epsilon > 0.0 and params.l > 0:
+        wd = weight_distribution(params.n, params.l, params.d0, aw_method)
+    return decoding_failure_bound(params, wd, ch)
 
 
-def _sim_metric(cand, n, k, ch, trials, seed, threads, stop_after_failures):
-    code = construct_pbch(n, k, cand.l)
-    sres = run_trials(
+def _simulate_split(
+    code: PbchCode,
+    ch: ChannelParams,
+    trials: int,
+    seed: int,
+    *,
+    threads: int = 1,
+    stop_after_failures: int | None = None,
+) -> SimResult:
+    """Monte Carlo trials of one constructed split on one channel.
+
+    Every split draws from its own stream t0 = l / m of the shared seed.
+    """
+    return run_trials(
         code, ch, trials, seed,
         threads=threads,
         stop_after_failures=stop_after_failures,
-        stream=cand.params.t0,
-    )
-    note = "not estimable" if sres.decoding_failures == 0 else None
-    return CandidateResult(
-        cand, metric=sres.failure_rate,
-        ci=(sres.ci_low, sres.ci_high), note=note, detail=sres,
+        stream=code.params.t0,
     )
 
 
@@ -160,24 +143,31 @@ def allocate(
 
     method 'bound' uses the closed-form upper bound (aw_method selects the
     weight-distribution source); 'simulation' runs ``trials`` Monte Carlo
-    trials per candidate, each on stream t0 = l / m of the shared seed, the
-    stream ``plbc simulate`` uses for the same code.  Ties go to the
+    trials per candidate.  A candidate is evaluated by ``_bound_split`` or
+    ``_simulate_split``, the evaluators ``plbc bound`` and ``plbc simulate``
+    use, so all three report the same numbers for a split.  Ties go to the
     smallest l.
     """
     cands = enumerate_candidates(n, k, m)
+    results = []
     if method == "bound":
-        results = [_bound_metric(c, ch, aw_method) for c in cands]
+        for c in cands:
+            bres = _bound_split(c, ch, aw_method)
+            results.append(CandidateResult(c, bres.total, detail=bres))
     elif method == "simulation":
         if trials is None:
             raise ValueError("the simulation method needs a trial count")
-        results = [
-            _sim_metric(c, n, k, ch, trials, seed, threads, stop_after_failures)
-            for c in cands
-        ]
+        for c in cands:
+            sres = _simulate_split(
+                construct_pbch(n, k, c.l), ch, trials, seed,
+                threads=threads, stop_after_failures=stop_after_failures,
+            )
+            note = "not estimable" if sres.decoding_failures == 0 else None
+            results.append(CandidateResult(
+                c, sres.failure_rate, ci=(sres.ci_low, sres.ci_high),
+                note=note, detail=sres,
+            ))
     else:
         raise ValueError("unknown allocation method %r" % method)
-    best = results[0]
-    for res in results[1:]:
-        if res.metric < best.metric:
-            best = res
+    best = min(results, key=lambda res: res.metric)
     return AllocationReport(ch, method, tuple(results), best)

@@ -14,7 +14,7 @@ from functools import cache
 import numpy as np
 
 from .errors import ConstructionError
-from .gf2 import BitMatrix, GF2m, _pack_rows, poly_degree, poly_mul, rank
+from .gf2 import BitMatrix, GF2m, _pack_rows, poly_mul
 
 __all__ = [
     "CyclotomicCoset",
@@ -132,45 +132,44 @@ def bch_parity_check(n: int, delta: int, field: GF2m) -> BitMatrix:
     """Parity-check matrix of the designed-distance-delta BCH code.
 
     One m-row block per distinct cyclotomic coset among the odd exponents
-    1, 3, ..., delta-2; block j holds the binary expansion of
-    [1, alpha^j, alpha^(2j), ..., alpha^((n-1)j)].  The row count must equal
-    the generator degree and the matrix must have full row rank; short
-    cosets make both impossible and are reported rather than padded over.
+    1, 3, ..., delta-2; the block of the coset led by j (its least member,
+    odd) holds the binary expansion of [1, alpha^j, ..., alpha^((n-1)j)].
+    Those cosets are all the
+    roots of g = bch_generator(n, delta), so deg g is the sum of their
+    sizes.  With every coset of size m, each block spans the m-dimensional
+    space of sequences Tr(a alpha^(ji)) and blocks of distinct cosets have
+    distinct roots, so by Vandermonde the rows are independent and their
+    count m * blocks equals deg g: no elimination is needed.  A short coset
+    breaks both and is reported rather than padded over.
     """
     if field.n != n:
         raise ValueError("field order does not match length")
     if delta < 1 or delta % 2 == 0:
         raise ValueError("designed distance must be odd and >= 1")
+    if delta > n:
+        raise ValueError("designed distance must be in [1, n]")
     m = field.m
-    blocks = []
-    short = []
+    cosets = []
     seen: set[int] = set()
-    positions = np.arange(n, dtype=np.int64)
-    shifts = np.arange(m, dtype=np.uint16)[:, None]
     for j in range(1, delta - 1, 2):
         coset = cyclotomic_coset(j, n)
-        if coset.leader in seen:
-            continue
-        seen.add(coset.leader)
-        if len(coset) != m:
-            short.append(coset)
-        vals = field.exp_np[(positions * j) % n].astype(np.uint16)
-        blocks.append(_pack_rows((vals >> shifts) & 1))
-    if not blocks:
-        return BitMatrix(0, n)
-    words = np.vstack(blocks)
-    mat = BitMatrix(len(words), n, words)
-    deg = poly_degree(bch_generator(n, delta, field)) or 0
-    if mat.rows != deg:
+        if coset.leader not in seen:
+            seen.add(coset.leader)
+            cosets.append(coset)
+    short = [c.members for c in cosets if len(c) != m]
+    if short:
         raise ConstructionError(
             "parity-check rows (%d) != generator degree (%d) at n=%d delta=%d; "
             "cosets shorter than m: %s"
-            % (mat.rows, deg, n, delta, [c.members for c in short] or "none")
+            % (m * len(cosets), sum(map(len, cosets)), n, delta, short)
         )
-    rk = rank(mat)
-    if rk != mat.rows:
-        raise ConstructionError(
-            "parity-check matrix is rank deficient (%d < %d) at n=%d delta=%d"
-            % (rk, mat.rows, n, delta)
-        )
-    return mat
+    if not cosets:
+        return BitMatrix(0, n)
+    positions = np.arange(n, dtype=np.int64)
+    shifts = np.arange(m, dtype=np.uint16)[:, None]
+    blocks = []
+    for coset in cosets:
+        vals = field.exp_np[(positions * coset.leader) % n].astype(np.uint16)
+        blocks.append(_pack_rows((vals >> shifts) & 1))
+    words = np.vstack(blocks)
+    return BitMatrix(len(words), n, words)

@@ -13,17 +13,17 @@ import json
 import os
 import sys
 
-from .allocate import _field_degree, allocate, enumerate_candidates
-from .bounds import (
-    capacity_max,
-    capacity_min,
-    decoding_failure_bound,
-    weight_distribution,
+from .allocate import (
+    _bound_split,
+    _field_degree,
+    _simulate_split,
+    allocate,
+    enumerate_candidates,
 )
+from .bounds import capacity_max, capacity_min
 from .channel import ChannelParams
 from .codec import construct_pbch, params_for
 from .errors import ConstructionError, NumericError
-from .simulate import run_trials
 
 # Built-in "table2" preset: channel id -> (epsilon, p); all seven share
 # C_min ~ 0.9624 while trading defect rate against error rate.  Their
@@ -125,7 +125,7 @@ def _sweep_params(args):
         params = params_for(args.n, args.k, args.l)
         _field_degree(args.n, args.m)
         return [params]
-    return [c.params for c in enumerate_candidates(args.n, args.k, args.m)]
+    return enumerate_candidates(args.n, args.k, args.m)
 
 
 # ---------------------------------------------------------------------------
@@ -133,7 +133,8 @@ def _sweep_params(args):
 # ---------------------------------------------------------------------------
 
 def _cmd_code(args) -> int:
-    code = construct_pbch(args.n, args.k, args.l)
+    (params,) = _sweep_params(args)
+    code = construct_pbch(params.n, params.k, params.l)
     desc = {"schema": "plbc.code.v1"}
     desc.update(code.to_descriptor(include_matrices=args.matrices))
     _write_text(_json_text(desc), args.out)
@@ -142,7 +143,7 @@ def _cmd_code(args) -> int:
 
 def _cmd_candidates(args) -> int:
     cands = enumerate_candidates(args.n, args.k, args.m)
-    rows = [[c.index, c.l, c.r, c.d0, c.d1] for c in cands]
+    rows = [[c.t0, c.l, c.r, c.d0, c.d1] for c in cands]
     _emit(args, "candidates", ["index", "l", "r", "d0", "d1"], rows)
     return 0
 
@@ -165,9 +166,9 @@ def _cmd_simulate(args) -> int:
     for params in _sweep_params(args):
         code = construct_pbch(params.n, params.k, params.l)
         for cid, ch in _channels(args):
-            res = run_trials(
+            res = _simulate_split(
                 code, ch, args.trials, args.seed,
-                threads=threads, stop_after_failures=stop, stream=params.t0,
+                threads=threads, stop_after_failures=stop,
             )
             rows.append([
                 cid, ch.epsilon, ch.p, params.l, params.r,
@@ -186,11 +187,8 @@ def _cmd_bound(args) -> int:
     aw = _AW_NAMES[args.aw]
     rows = []
     for params in _sweep_params(args):
-        wd = None
-        if params.l > 0:
-            wd = weight_distribution(params.n, params.l, params.d0, aw)
         for cid, ch in _channels(args):
-            res = decoding_failure_bound(params, wd, ch)
+            res = _bound_split(params, ch, aw)
             rows.append([
                 cid, ch.epsilon, ch.p, params.l, params.r, params.d0, params.d1,
                 res.aw_method or "none",

@@ -16,11 +16,17 @@ one derivation of (h*, p): the codec and the weight distributions of
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
-from .bch import bch_generator, bch_parity_check, cyclotomic_coset, field_for_length
+from .bch import (
+    bch_generator,
+    bch_parity_check,
+    cyclotomic_coset,
+    field_degree,
+    field_for_length,
+)
 from .channel import DefectVector
 from .errors import ConstructionError
 from .gf2 import (
@@ -52,52 +58,48 @@ __all__ = [
 
 @dataclass(frozen=True)
 class PlbcParams:
-    """Dimensions and designed distances of a partitioned BCH code."""
+    """A split (n, k, l) of a partitioned BCH code and what it implies.
+
+    r = n - k - l cells go to error correction; l = m t0 and r = m t1 are
+    multiples of the field degree m, and the designed distances are
+    d0 = 2 t0 + 1 and d1 = 2 t1 + 1 (0 when l or r is 0).  The derived
+    values are set once, on construction, as plain attributes.
+    """
 
     n: int
     k: int
     l: int
-    r: int
-    m: int
-    t0: int
-    t1: int
-    d0: int
-    d1: int
+    r: int = field(init=False)
+    m: int = field(init=False)
+    t0: int = field(init=False)
+    t1: int = field(init=False)
+    d0: int = field(init=False)
+    d1: int = field(init=False)
 
     def __post_init__(self):
-        if self.k + self.l + self.r != self.n:
-            raise ValueError("k + l + r must equal n")
-        if self.l != self.t0 * self.m or self.r != self.t1 * self.m:
-            raise ValueError("l and r must equal m*t0 and m*t1")
-        if self.d0 != (2 * self.t0 + 1 if self.l else 0):
-            raise ValueError("d0 inconsistent with t0")
-        if self.d1 != (2 * self.t1 + 1 if self.r else 0):
-            raise ValueError("d1 inconsistent with t1")
+        n, k, l = self.n, self.k, self.l
+        m = field_degree(n)
+        if k < 1:
+            raise ValueError("message length k must be >= 1")
+        if l < 0:
+            raise ValueError("masking redundancy l must be >= 0")
+        r = n - k - l
+        if r < 0:
+            raise ValueError("k + l exceeds n")
+        if l % m:
+            raise ConstructionError("l=%d is not a multiple of m=%d" % (l, m))
+        if r % m:
+            raise ConstructionError("r=%d is not a multiple of m=%d" % (r, m))
+        t0, t1 = l // m, r // m
+        for name, value in (("r", r), ("m", m), ("t0", t0), ("t1", t1),
+                            ("d0", 2 * t0 + 1 if l else 0),
+                            ("d1", 2 * t1 + 1 if r else 0)):
+            object.__setattr__(self, name, value)
 
 
 def params_for(n: int, k: int, l: int) -> PlbcParams:
     """Validate (n, k, l) and derive the remaining parameters."""
-    m = n.bit_length()
-    if n <= 0 or n != (1 << m) - 1:
-        raise ValueError("n must be 2^m - 1, got %r" % (n,))
-    if k < 1:
-        raise ValueError("message length k must be >= 1")
-    if l < 0:
-        raise ValueError("masking redundancy l must be >= 0")
-    r = n - k - l
-    if r < 0:
-        raise ValueError("k + l exceeds n")
-    if l % m:
-        raise ConstructionError("l=%d is not a multiple of m=%d" % (l, m))
-    if r % m:
-        raise ConstructionError("r=%d is not a multiple of m=%d" % (r, m))
-    t0 = l // m
-    t1 = r // m
-    return PlbcParams(
-        n=n, k=k, l=l, r=r, m=m, t0=t0, t1=t1,
-        d0=2 * t0 + 1 if l else 0,
-        d1=2 * t1 + 1 if r else 0,
-    )
+    return PlbcParams(n, k, l)
 
 
 @dataclass(frozen=True)

@@ -12,6 +12,7 @@ from __future__ import annotations
 import os
 import time
 from concurrent.futures import ProcessPoolExecutor
+from contextlib import closing
 from dataclasses import dataclass
 from math import sqrt
 from statistics import NormalDist
@@ -139,6 +140,26 @@ def _worker_count(threads: int, blocks: int) -> int:
     return max(1, min(threads, blocks, os.cpu_count() or 1))
 
 
+def _block_results(code, ch, seed, stream, blocks, workers):
+    """Each block's counts in block order, computed here or by a pool."""
+    if workers == 1:
+        for lo, hi in blocks:
+            yield _block_counts(code, ch, seed, stream, lo, hi)
+        return
+    pool = ProcessPoolExecutor(
+        max_workers=workers,
+        initializer=_init_worker,
+        initargs=(code, ch, seed, stream),
+    )
+    try:
+        futures = [pool.submit(_worker_block, b) for b in blocks]
+        for fut in futures:
+            yield fut.result()
+    finally:
+        # an early stop leaves blocks queued: drop them, do not run them
+        pool.shutdown(cancel_futures=True)
+
+
 def run_trials(
     code: PbchCode,
     ch: ChannelParams,
@@ -157,6 +178,8 @@ def run_trials(
     """
     if trials < 1:
         raise ValueError("trials must be positive")
+    if threads < 1:
+        raise ValueError("threads must be positive")
     if stop_after_failures is not None and stop_after_failures < 0:
         raise ValueError("stop_after_failures must be nonnegative")
     stop_at = stop_after_failures or 0
@@ -167,32 +190,14 @@ def run_trials(
     t0 = time.perf_counter()
     mask = dec = joint = executed = 0
     workers = _worker_count(threads, len(blocks))
-    if workers == 1:
-        for lo, hi in blocks:
-            bm, bd, bj = _block_counts(code, ch, seed, stream, lo, hi)
+    with closing(_block_results(code, ch, seed, stream, blocks, workers)) as counts:
+        for (lo, hi), (bm, bd, bj) in zip(blocks, counts):
             mask += bm
             dec += bd
             joint += bj
             executed = hi
             if stop_at and dec >= stop_at:
                 break
-    else:
-        with ProcessPoolExecutor(
-            max_workers=workers,
-            initializer=_init_worker,
-            initargs=(code, ch, seed, stream),
-        ) as pool:
-            futures = [pool.submit(_worker_block, b) for b in blocks]
-            for (lo, hi), fut in zip(blocks, futures):
-                bm, bd, bj = fut.result()
-                mask += bm
-                dec += bd
-                joint += bj
-                executed = hi
-                if stop_at and dec >= stop_at:
-                    for rest in futures:
-                        rest.cancel()
-                    break
     elapsed = time.perf_counter() - t0
     lo_ci, hi_ci = wilson_interval(dec, executed)
     return SimResult(

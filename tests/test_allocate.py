@@ -24,7 +24,7 @@ class TestEnumerate:
         assert len(cands) == 11
         got = [(c.l, c.r, c.d0, c.d1) for c in cands]
         assert got == CANDIDATE_FAMILY_1023
-        assert [c.index for c in cands] == list(range(11))
+        assert [c.t0 for c in cands] == list(range(11))
 
     def test_small_family(self):
         cands = enumerate_candidates(15, 7, 4)

@@ -141,3 +141,39 @@ class TestParityCheck:
         with pytest.raises(ConstructionError):
             bch_parity_check(15, 11, f)
 
+    def test_every_odd_delta_full_rank_or_short_coset(self):
+        # the rows are m per distinct coset of the odd j < delta - 1; with no
+        # short coset they must be exactly deg g and independent, with one
+        # the construction must refuse, naming the shortfall
+        from plbc.gf2 import rank
+
+        for m in range(2, 9):
+            n = (1 << m) - 1
+            f = field_for_length(n)
+            for delta in range(1, n + 1, 2):
+                cosets = []
+                for j in range(1, delta - 1, 2):
+                    c = cyclotomic_coset(j, n)
+                    if c not in cosets:
+                        cosets.append(c)
+                short = [c.members for c in cosets if len(c) != m]
+                deg = poly_degree(bch_generator(n, delta, f)) or 0
+                if short:
+                    want = (
+                        "parity-check rows (%d) != generator degree (%d) at "
+                        "n=%d delta=%d; cosets shorter than m: %s"
+                        % (m * len(cosets), deg, n, delta, short)
+                    )
+                    with pytest.raises(ConstructionError) as exc:
+                        bch_parity_check(n, delta, f)
+                    assert str(exc.value) == want
+                else:
+                    h = bch_parity_check(n, delta, f)
+                    assert rank(h) == h.rows == deg == m * len(cosets)
+
+    def test_delta_validation(self):
+        f = field_for_length(15)
+        for delta in (0, 4, 17):
+            with pytest.raises(ValueError):
+                bch_parity_check(15, delta, f)
+

@@ -392,6 +392,15 @@ class TestCode:
             main(["code", "--n", "15", "--k", "7"])  # --l is required
         assert exc.value.code == 2
 
+    def test_m_mismatch_exit2(self, capsys):
+        # the same check as bound and simulate make for the same arguments
+        for argv in (["code"], ["bound", "--epsilon", "0.1", "--p", "0.01"]):
+            rc, out, err = run_cli(
+                capsys, *argv, "--n", "15", "--k", "7", "--l", "4", "--m", "5"
+            )
+            assert (rc, out) == (2, "")
+            assert "m=5 does not match n=15" in err
+
 
 class TestCandidates:
     def test_golden_csv(self, capsys):
@@ -491,6 +500,15 @@ class TestSimulate:
         want = [str(sim.trials), str(sim.masking_failures), str(sim.decoding_failures)]
         assert row[5:8] == want == ["2048", "293", "198"]
 
+    @pytest.mark.parametrize("threads", ["0", "-3"])
+    def test_threads_below_one_exit2(self, capsys, threads):
+        rc, out, err = run_cli(
+            capsys, "simulate", "--n", "15", "--k", "7", "--l", "4",
+            "--epsilon", "0", "--p", "0", "--trials", "64", "--threads", threads,
+        )
+        assert (rc, out) == (2, "")
+        assert "threads must be positive" in err
+
     def test_json_format(self, capsys):
         rc, out, _ = run_cli(
             capsys, "simulate", "--n", "15", "--k", "7", "--l", "4",
@@ -534,6 +552,32 @@ class TestBound:
             "--aw", "exact",
         )
         assert rc == 2
+
+    def test_epsilon_zero_needs_no_aw(self, capsys):
+        # the epsilon = 0 bound has no masking term, so no A_w is fetched:
+        # an A_w method that cannot run at this size does not matter
+        rc, out, err = run_cli(
+            capsys, "bound", "--n", "1023", "--k", "923", "--l", "20",
+            "--epsilon", "0", "--p", "0.004", "--aw", "exact",
+        )
+        assert rc == 0, err
+        row = out.strip().splitlines()[2].split(",")
+        assert row[7] == "none"
+        assert float(row[8]) == 0.0 and float(row[10]) > 0
+
+    def test_totals_equal_allocate(self, capsys):
+        rc, out, err = run_cli(capsys, "bound", "--preset", "table2", "--format", "json")
+        assert rc == 0, err
+        bound = {(r["channel_id"], r["l"]): r["bound_total"]
+                 for r in json.loads(out)["rows"]}
+        rc, out, err = run_cli(
+            capsys, "allocate", "--preset", "table2", "--format", "json"
+        )
+        assert rc == 0, err
+        alloc = {(rep["channel_id"], c["l"]): c["metric"]
+                 for rep in json.loads(out)["reports"] for c in rep["candidates"]}
+        assert len(alloc) == 77
+        assert bound == alloc
 
 
 class TestAllocate:

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from plbc.bounds import weight_distribution
 from plbc.channel import DefectVector, transmit
 from plbc.codec import (
+    PlbcParams,
     _check_code_identities,
     _decode_words,
     _min_weight_using,
@@ -126,6 +127,38 @@ class TestParams:
             params_for(15, 13, 4)
         with pytest.raises(ValueError):
             params_for(15, 7, -4)
+
+    def test_three_init_fields(self):
+        init = [f.name for f in dataclasses.fields(PlbcParams) if f.init]
+        assert init == ["n", "k", "l"]
+        p = PlbcParams(1023, 923, 20)
+        assert (p.r, p.m, p.t0, p.t1, p.d0, p.d1) == (80, 10, 2, 8, 5, 17)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            p.d0 = 7
+
+    @pytest.mark.parametrize("n,k,l,error", [
+        (15, 7, 4, None), (15, 7, 0, None), (15, 7, 8, None),
+        ((1 << 16) - 1, (1 << 16) - 17, 16, None),
+        (1023, 923, 5, ConstructionError), (15, 6, 4, ConstructionError),
+        (14, 7, 4, ValueError), (15, 0, 4, ValueError), (15, 13, 4, ValueError),
+        (15, 7, -4, ValueError), (0, 1, 0, ValueError),
+        # lengths 2^m - 1 outside the supported fields, m = 1 and m = 17
+        (1, 1, 0, ValueError), ((1 << 17) - 1, (1 << 17) - 35, 17, ValueError),
+        ((1 << 17) - 1, 923, 20, ValueError),
+    ])
+    def test_direct_construction_validates_like_params_for(self, n, k, l, error):
+        def outcome(make):
+            try:
+                return make(n, k, l)
+            except (ValueError, ConstructionError) as exc:
+                return type(exc), str(exc)
+
+        got = outcome(PlbcParams)
+        assert got == outcome(params_for)
+        if error is None:
+            assert (got.n, got.k, got.l, got.r) == (n, k, l, n - k - l)
+        else:
+            assert got[0] is error
 
 
 class TestConstruction:

@@ -101,6 +101,11 @@ class TestRunTrials:
         monkeypatch.setattr("plbc.simulate.os.cpu_count", lambda: None)
         assert _worker_count(4, 4) == 1
 
+    @pytest.mark.parametrize("threads", [0, -3])
+    def test_threads_below_one_rejected(self, code15, threads):
+        with pytest.raises(ValueError, match="threads must be positive"):
+            run_trials(code15, ChannelParams(0.1, 0.01), 16, seed=1, threads=threads)
+
     def test_seed_changes_counts(self, code15):
         ch = ChannelParams(0.2, 0.05)
         a = run_trials(code15, ch, 3000, seed=1)
