@@ -1,8 +1,8 @@
 """Redundancy allocation between defect masking and error correction.
 
-Enumerates every (l, r) split of the n - k redundancy cells into
-field-degree multiples and picks the candidate minimizing either the
-closed-form failure bound or a simulated failure rate.
+Enumerates the (l, r) splits of the n - k redundancy cells into
+field-degree multiples that can be built, and picks the candidate
+minimizing either the closed-form failure bound or a simulated failure rate.
 """
 
 from __future__ import annotations
@@ -19,6 +19,7 @@ from .bounds import (
 )
 from .channel import ChannelParams
 from .codec import PbchCode, PlbcParams, construct_pbch, params_for
+from .errors import ConstructionError
 from .simulate import SimResult, run_trials
 
 __all__ = [
@@ -62,13 +63,8 @@ class AllocationReport:
             "best_r": self.best.candidate.r,
         }
         for res in self.results:
-            entry = {
-                "l": res.candidate.l,
-                "r": res.candidate.r,
-                "d0": res.candidate.d0,
-                "d1": res.candidate.d1,
-                "metric": res.metric,
-            }
+            entry = {name: getattr(res.candidate, name) for name in ("l", "r", "d0", "d1")}
+            entry["metric"] = res.metric
             if res.ci is not None:
                 entry["ci"] = list(res.ci)
             if res.note is not None:
@@ -86,11 +82,22 @@ def _field_degree(n: int, m: int | None) -> int:
 
 
 def enumerate_candidates(n: int, k: int, m: int | None = None) -> list[PlbcParams]:
-    """All (l, r) splits of n - k with both parts multiples of m, l ascending."""
+    """The splits of n - k into multiples l and r of m that ``PlbcParams``
+    accepts as buildable, l ascending; a ConstructionError when none is."""
     m = _field_degree(n, m)
+    if k > n:
+        raise ValueError("k + l exceeds n")
     if (n - k) % m:
         raise ValueError("redundancy n-k=%d is not a multiple of m=%d" % (n - k, m))
-    return [params_for(n, k, t0 * m) for t0 in range((n - k) // m + 1)]
+    splits = []
+    for t0 in range((n - k) // m + 1):
+        try:
+            splits.append(params_for(n, k, t0 * m))
+        except ConstructionError:
+            pass
+    if not splits:
+        raise ConstructionError("no (l, r) split of n=%d, k=%d can be built" % (n, k))
+    return splits
 
 
 def _bound_split(params: PlbcParams, ch: ChannelParams, aw_method: str) -> BoundResult:

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cache
+from itertools import accumulate
 
 import numpy as np
 
@@ -72,13 +73,42 @@ def cyclotomic_cosets(n: int) -> list[CyclotomicCoset]:
     seen = [False] * n
     out = []
     for j in range(n):
-        if seen[j]:
-            continue
-        c = cyclotomic_coset(j, n)
-        for e in c.members:
-            seen[e] = True
-        out.append(c)
+        if not seen[j]:
+            out.append(cyclotomic_coset(j, n))
+            for e in out[-1].members:
+                seen[e] = True
     return out
+
+
+@dataclass(frozen=True)
+class CosetTable:
+    """The nonzero 2-cyclotomic cosets mod n by leader and, per designed
+    distance delta in [0, n]: g(delta) has its roots in the first count[delta]
+    cosets (those led below delta) and degree degree[delta], the sum of their
+    sizes; negated[delta] is the least leader of their negatives -C, else n."""
+
+    cosets: tuple[CyclotomicCoset, ...]
+    count: tuple[int, ...]
+    degree: tuple[int, ...]
+    negated: tuple[int, ...]
+
+
+@cache
+def coset_table(n: int) -> CosetTable:
+    """The CosetTable of length n, built once and shared per n."""
+    field_degree(n)
+    cosets = cyclotomic_cosets(n)[1:]
+    # the coset led by j enters at delta = j + 1; -C is led by n - max C
+    size, neg = [0] * (n + 1), [n] * (n + 1)
+    for c in cosets:
+        size[c.leader + 1], neg[c.leader + 1] = len(c), n - c.members[-1]
+    return CosetTable(tuple(cosets), tuple(accumulate(1 if s else 0 for s in size)),
+                      tuple(accumulate(size)), tuple(accumulate(neg, min)))
+
+
+def _check_designed_distance(n: int, delta: int) -> None:
+    if not (1 <= delta <= n and delta % 2):
+        raise ValueError("designed distance must be odd and in [1, n]")
 
 
 def minimal_polynomial(j: int, field: GF2m) -> int:
@@ -113,29 +143,21 @@ def bch_generator(n: int, delta: int, field: GF2m | None = None) -> int:
         field = field_for_length(n)
     elif field.n != n:
         raise ValueError("field order does not match length")
-    if delta < 1 or delta > n:
-        raise ValueError("designed distance must be in [1, n]")
-    if delta % 2 == 0:
-        raise ValueError("designed distance must be odd")
+    _check_designed_distance(n, delta)
+    table = coset_table(n)
     g = 1
-    seen: set[int] = set()
-    for j in range(1, delta):
-        coset = cyclotomic_coset(j, n)
-        if coset.leader in seen:
-            continue
-        seen.add(coset.leader)
-        g = poly_mul(g, minimal_polynomial(j, field))
+    for coset in table.cosets[:table.count[delta]]:
+        g = poly_mul(g, minimal_polynomial(coset.leader, field))
     return g
 
 
 def bch_parity_check(n: int, delta: int, field: GF2m) -> BitMatrix:
     """Parity-check matrix of the designed-distance-delta BCH code.
 
-    One m-row block per distinct cyclotomic coset among the odd exponents
-    1, 3, ..., delta-2; the block of the coset led by j (its least member,
-    odd) holds the binary expansion of [1, alpha^j, ..., alpha^((n-1)j)].
-    Those cosets are all the
-    roots of g = bch_generator(n, delta), so deg g is the sum of their
+    One m-row block per coset led below delta in ``coset_table(n)``; the
+    block of the coset led by j (its least member, odd) holds the binary
+    expansion of [1, alpha^j, ..., alpha^((n-1)j)].  Those cosets hold all
+    the roots of g = bch_generator(n, delta), so deg g is the sum of their
     sizes.  With every coset of size m, each block spans the m-dimensional
     space of sequences Tr(a alpha^(ji)) and blocks of distinct cosets have
     distinct roots, so by Vandermonde the rows are independent and their
@@ -144,18 +166,10 @@ def bch_parity_check(n: int, delta: int, field: GF2m) -> BitMatrix:
     """
     if field.n != n:
         raise ValueError("field order does not match length")
-    if delta < 1 or delta % 2 == 0:
-        raise ValueError("designed distance must be odd and >= 1")
-    if delta > n:
-        raise ValueError("designed distance must be in [1, n]")
+    _check_designed_distance(n, delta)
     m = field.m
-    cosets = []
-    seen: set[int] = set()
-    for j in range(1, delta - 1, 2):
-        coset = cyclotomic_coset(j, n)
-        if coset.leader not in seen:
-            seen.add(coset.leader)
-            cosets.append(coset)
+    table = coset_table(n)
+    cosets = table.cosets[:table.count[delta]]
     short = [c.members for c in cosets if len(c) != m]
     if short:
         raise ConstructionError(

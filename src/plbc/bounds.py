@@ -344,15 +344,11 @@ def _macwilliams_ints(n: int, b_int: list[int]) -> list[int]:
 
     js = [j for j, b in enumerate(b_int) if b]
     bs = [b_int[j] for j in js]
-    k_prev = [1] * len(js)                      # K_0(j)
-    k_cur = [n - 2 * j for j in js]             # K_1(j)
+    # K_w(j) from w K_w = (n - 2j) K_(w-1) - (n - w + 2) K_(w-2), K_(-1) = 0
+    k_prev, k_cur = [0] * len(js), [1] * len(js)
     counts = []
     for w in range(n + 1):
-        if w == 0:
-            kw = k_prev
-        elif w == 1:
-            kw = k_cur
-        else:
+        if w:
             k_next = []
             for idx, j in enumerate(js):
                 num = (n - 2 * j) * k_cur[idx] - (n - w + 2) * k_prev[idx]
@@ -360,8 +356,7 @@ def _macwilliams_ints(n: int, b_int: list[int]) -> list[int]:
                     raise NumericError("Krawtchouk recurrence lost integrality")
                 k_next.append(num // w)
             k_prev, k_cur = k_cur, k_next
-            kw = k_cur
-        total = sum(b * k for b, k in zip(bs, kw))
+        total = sum(b * k for b, k in zip(bs, k_cur))
         q, rem = divmod(total, 1 << dim)
         if rem or q < 0:
             raise NumericError(

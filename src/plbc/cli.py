@@ -122,9 +122,8 @@ def _channels(args) -> list[tuple[int, ChannelParams]]:
 def _sweep_params(args):
     """Candidate parameter sets for --l (single) or the full l-sweep."""
     if args.l is not None:
-        params = params_for(args.n, args.k, args.l)
         _field_degree(args.n, args.m)
-        return [params]
+        return [params_for(args.n, args.k, args.l)]
     return enumerate_candidates(args.n, args.k, args.m)
 
 

@@ -21,9 +21,10 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .bch import (
+    _check_designed_distance,
     bch_generator,
     bch_parity_check,
-    cyclotomic_coset,
+    coset_table,
     field_degree,
     field_for_length,
 )
@@ -35,7 +36,6 @@ from .gf2 import (
     GF2m,
     _solve_aug_rows,
     _span_weight_counts,
-    poly_degree,
     poly_divmod,
     poly_reciprocal,
 )
@@ -63,7 +63,10 @@ class PlbcParams:
     r = n - k - l cells go to error correction; l = m t0 and r = m t1 are
     multiples of the field degree m, and the designed distances are
     d0 = 2 t0 + 1 and d1 = 2 t1 + 1 (0 when l or r is 0).  The derived
-    values are set once, on construction, as plain attributes.
+    values are set once, on construction, as plain attributes.  Only a split
+    that can be built is accepted: deg g(d1) = r, deg h*(d0) = l, and no
+    coset of g's roots is the negative of one of h*'s (else C0 would not nest
+    inside C), all three read off ``coset_table(n)``.
     """
 
     n: int
@@ -86,14 +89,23 @@ class PlbcParams:
         r = n - k - l
         if r < 0:
             raise ValueError("k + l exceeds n")
-        if l % m:
-            raise ConstructionError("l=%d is not a multiple of m=%d" % (l, m))
-        if r % m:
-            raise ConstructionError("r=%d is not a multiple of m=%d" % (r, m))
+        for name, value in (("l", l), ("r", r)):
+            if value % m:
+                raise ConstructionError("%s=%d is not a multiple of m=%d" % (name, value, m))
         t0, t1 = l // m, r // m
+        d0, d1 = 2 * t0 + 1 if l else 0, 2 * t1 + 1 if r else 0
+        _check_degree(n, d1, r, "generator", "r", "d1")
+        _check_degree(n, d0, l, "mask-check", "l", "d0")
+        table = coset_table(n)
+        if table.negated[d0] < d1:
+            negated = [n - c.members[-1] for c in table.cosets[:table.count[d0]]]
+            raise ConstructionError(
+                "generator and mask checks share roots (coset leaders %s); "
+                "the masking code would not nest inside the outer code"
+                % sorted(j for j in negated if j < d1)
+            )
         for name, value in (("r", r), ("m", m), ("t0", t0), ("t1", t1),
-                            ("d0", 2 * t0 + 1 if l else 0),
-                            ("d1", 2 * t1 + 1 if r else 0)):
+                            ("d0", d0), ("d1", d1)):
             object.__setattr__(self, name, value)
 
 
@@ -176,17 +188,9 @@ class PbchCode:
     def to_descriptor(self, include_matrices: bool = False) -> dict:
         """JSON-friendly description; polynomials as hex coefficient ints."""
         p = self.params
-        out = {
-            "n": p.n,
-            "k": p.k,
-            "l": p.l,
-            "r": p.r,
-            "m": p.m,
-            "d0": p.d0,
-            "d1": p.d1,
-            "g_poly": format(self.g_poly, "x"),
-            "p_poly": format(self.p_poly, "x"),
-        }
+        out = {name: getattr(p, name) for name in ("n", "k", "l", "r", "m", "d0", "d1")}
+        out["g_poly"] = format(self.g_poly, "x")
+        out["p_poly"] = format(self.p_poly, "x")
         if include_matrices:
             for name in ("gen_message", "gen_mask", "parity", "msg_inverse"):
                 out[name] = [format(v, "x") for v in getattr(self, name).row_ints()]
@@ -242,55 +246,36 @@ def masking_polys(n: int, l: int, d0: int) -> tuple[int, int]:
 
     h* = bch_generator(n, d0) (1 when l = 0) generates the code whose parity
     check is the masking generator; p = (x^n - 1)/h with h = reciprocal(h*)
-    generates the masking rows.  Raises ConstructionError when deg h* != l
-    (a short cyclotomic coset) or h does not divide x^n - 1.
+    generates the masking rows (h*, a product of minimal polynomials, divides
+    x^n - 1, and so does h).  Raises ConstructionError when deg h* != l.
     """
+    _check_designed_distance(n, d0 or 1)
+    _check_degree(n, d0, l, "mask-check", "l", "d0")
     hstar = bch_generator(n, d0 or 1)
-    hdeg = poly_degree(hstar) or 0
-    if hdeg != l:
+    return hstar, poly_divmod((1 << n) | 1, poly_reciprocal(hstar))[0]
+
+
+def _check_degree(n: int, delta: int, size: int, poly: str, part: str, dist: str):
+    """Raise unless deg g(delta), read off the coset table, is size."""
+    deg = coset_table(n).degree[delta]
+    if deg != size:
         raise ConstructionError(
-            "mask-check degree %d != l=%d at n=%d d0=%d (short cyclotomic coset)"
-            % (hdeg, l, n, d0)
+            "%s degree %d != %s=%d at n=%d %s=%d (short cyclotomic coset)"
+            % (poly, deg, part, size, n, dist, delta)
         )
-    p, rem = poly_divmod((1 << n) | 1, poly_reciprocal(hstar))
-    if rem:
-        raise ConstructionError("reciprocal mask check does not divide x^n - 1")
-    return hstar, p
 
 
 def construct_pbch(n: int, k: int, l: int) -> PbchCode:
     """Build the nested-BCH partitioned code for (n, k, l).
 
     g = bch_generator(n, d1) spans C; the masking part C0 = <p> comes from
-    ``masking_polys``.  Fails loudly when the redundancies are not multiples
-    of m, when a cyclotomic coset falls short (degree mismatch), or when g
-    and h share roots (C0 would not nest inside C).
+    ``masking_polys``.  A split that cannot be built is refused by
+    ``PlbcParams`` before any polynomial is made.
     """
     params = params_for(n, k, l)
     field = field_for_length(n)
-
     g = bch_generator(n, params.d1 if params.r else 1, field)
-    gdeg = poly_degree(g) or 0
-    if gdeg != params.r:
-        raise ConstructionError(
-            "generator degree %d != r=%d at n=%d d1=%d (short cyclotomic coset)"
-            % (gdeg, params.r, n, params.d1)
-        )
     hstar, p = masking_polys(n, params.l, params.d0)
-
-    if params.r and params.l:
-        g_leaders = {cyclotomic_coset(j, n).leader for j in range(1, params.d1)}
-        h_leaders = set()
-        for j in range(1, params.d0):
-            for e in cyclotomic_coset(j, n).members:
-                h_leaders.add(cyclotomic_coset(n - e, n).leader)
-        shared = sorted(g_leaders & h_leaders)
-        if shared:
-            raise ConstructionError(
-                "generator and mask checks share roots (coset leaders %s); "
-                "the masking code would not nest inside the outer code" % shared
-            )
-
     msg_inv = message_inverse(n, g, p)
     gen_message = BitMatrix.from_row_ints([g << i for i in range(k)], n)
     gen_mask = BitMatrix.from_row_ints([p << i for i in range(l)], n)

@@ -1,7 +1,11 @@
 import pytest
 
 from plbc.allocate import allocate, enumerate_candidates
+from plbc.bch import bch_generator
 from plbc.channel import ChannelParams
+from plbc.codec import construct_pbch, params_for
+from plbc.errors import ConstructionError
+from plbc.gf2 import poly_degree, poly_divmod, poly_reciprocal
 
 CANDIDATE_FAMILY_1023 = [
     (0, 100, 0, 21),
@@ -41,6 +45,82 @@ class TestEnumerate:
     def test_m_mismatch(self):
         with pytest.raises(ValueError):
             enumerate_candidates(1023, 923, 8)
+
+
+def buildable_by_polynomials(n, k, l):
+    """The existence rule made from the polynomials, not the coset table:
+    deg g(d1) = r, deg h*(d0) = l, and g has no root in common with the
+    reciprocal h of h* (gcd 1), so the masking code nests inside C."""
+    m = n.bit_length()
+    r = n - k - l
+    g = bch_generator(n, 2 * (r // m) + 1 if r else 1)
+    hstar = bch_generator(n, 2 * (l // m) + 1 if l else 1)
+    a, b = g, poly_reciprocal(hstar)
+    while b:
+        a, b = b, poly_divmod(a, b)[1]
+    return (poly_degree(g) or 0, poly_degree(hstar) or 0, a) == (r, l, 1)
+
+
+class TestExistence:
+    def test_every_split_up_to_n255(self):
+        # every (n, k, l) with l and r multiples of m, m = 2..8: PlbcParams
+        # accepts exactly the splits the polynomials allow, construct_pbch
+        # builds every one of them, and enumerate_candidates lists them
+        splits = unbuildable = empty = 0
+        for m in range(2, 9):
+            n = (1 << m) - 1
+            for k in range(1 + (n - 1) % m, n + 1, m):
+                built = []
+                for l in range(0, n - k + 1, m):
+                    splits += 1
+                    try:
+                        params_for(n, k, l)
+                    except ConstructionError:
+                        assert not buildable_by_polynomials(n, k, l), (n, k, l)
+                        with pytest.raises(ConstructionError):
+                            construct_pbch(n, k, l)
+                        unbuildable += 1
+                        continue
+                    assert buildable_by_polynomials(n, k, l), (n, k, l)
+                    construct_pbch(n, k, l)
+                    built.append(l)
+                if built:
+                    assert [c.l for c in enumerate_candidates(n, k)] == built
+                else:
+                    with pytest.raises(ConstructionError, match="can be built"):
+                        enumerate_candidates(n, k)
+                    empty += 1
+        assert (splits, unbuildable, empty) == (831, 618, 23)
+
+    @pytest.mark.parametrize("split,message", [
+        ((15, 3, 0),
+         "generator degree 10 != r=12 at n=15 d1=7 (short cyclotomic coset)"),
+        ((15, 3, 12),
+         "mask-check degree 10 != l=12 at n=15 d0=7 (short cyclotomic coset)"),
+        ((31, 1, 10),
+         "generator and mask checks share roots (coset leaders [7]); "
+         "the masking code would not nest inside the outer code"),
+        ((255, 127, 64),
+         "generator and mask checks share roots (coset leaders [15]); "
+         "the masking code would not nest inside the outer code"),
+    ])
+    def test_messages(self, split, message):
+        # the checks run in this order: generator degree, mask-check
+        # degree, shared roots
+        with pytest.raises(ConstructionError) as exc:
+            params_for(*split)
+        assert str(exc.value) == message
+
+    def test_only_buildable_splits_ranked(self):
+        assert [c.l for c in enumerate_candidates(15, 3)] == [4, 8]
+        rep = allocate(15, 3, 4, ChannelParams(0.3, 0.0), "bound")
+        assert [r.candidate.l for r in rep.results] == [4, 8]
+        with pytest.raises(ConstructionError):
+            allocate(255, 55, 8, ChannelParams(0.01, 0.01), "bound")
+
+    def test_k_above_n(self):
+        with pytest.raises(ValueError, match=r"k \+ l exceeds n"):
+            enumerate_candidates(15, 19)
 
 
 class TestAllocateBound:

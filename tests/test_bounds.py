@@ -1,3 +1,4 @@
+import functools
 import math
 
 import numpy as np
@@ -7,6 +8,7 @@ from hypothesis import strategies as st
 from scipy import stats
 
 from plbc import bounds
+from plbc.allocate import enumerate_candidates
 from plbc.bounds import (
     BoundResult,
     WeightDistribution,
@@ -23,7 +25,7 @@ from plbc.bounds import (
 )
 from plbc.channel import ChannelParams
 from plbc.codec import params_for
-from plbc.errors import NumericError
+from plbc.errors import ConstructionError, NumericError
 
 PRESET_CHANNELS = {
     1: (0.0, 4.0e-3),
@@ -384,6 +386,20 @@ def assert_matches_scalar(res, params, wd, ch):
     assert res.u_tail_bound == tail
 
 
+@functools.cache
+def masked_splits(n):
+    """The buildable splits of length n with l > 0 and at most ten m-steps
+    of redundancy, as ``enumerate_candidates`` lists them."""
+    m = n.bit_length()
+    out = []
+    for s in range(1, min(10, (n - 1) // m) + 1):
+        try:
+            out += [c for c in enumerate_candidates(n, n - s * m) if c.l]
+        except ConstructionError:
+            pass
+    return out
+
+
 class TestAgainstScalarReference:
     def test_table2_all_points(self):
         for eps, p in PRESET_CHANNELS.values():
@@ -410,13 +426,8 @@ class TestAgainstScalarReference:
         p=st.one_of(st.just(0.0), st.floats(1e-5, 0.1)),
     )
     def test_random_channels(self, n, split, eps, p):
-        m = n.bit_length()
-        # at most ten m-steps of redundancy; at n = 15 only l = 4 and 8 have
-        # a masking code to enumerate
-        steps = 2 if n == 15 else min(10, (n - 1) // m)
-        a = 1 + split % steps  # l = a m, at least one step
-        b = (split // steps) % (steps - a + 1)  # r = b m
-        params = params_for(n, n - (a + b) * m, a * m)
+        splits = masked_splits(n)
+        params = splits[split % len(splits)]
         if n == 1023:
             eps, p = eps / 10, p / 10  # keep the reference's u-loop short
         method = "exact-enumeration" if n == 15 else "binomial-approx"

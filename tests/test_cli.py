@@ -675,6 +675,66 @@ class TestExitCodes:
         assert err.startswith("numeric error:")
 
 
+class TestSplitExistence:
+    """Every command agrees on which splits exist (``PlbcParams``)."""
+
+    def test_candidates_lists_buildable_splits(self, capsys):
+        rc, out, err = run_cli(capsys, "candidates", "--n", "15", "--k", "3")
+        assert rc == 0, err
+        assert out.splitlines()[2:] == ["1,4,8,3,5", "2,8,4,5,3"]
+
+    def test_no_buildable_split_exit3(self, capsys):
+        rc, out, err = run_cli(
+            capsys, "allocate", "--n", "255", "--k", "55",
+            "--epsilon", "0.01", "--p", "0.01",
+        )
+        assert (rc, out) == (3, "")
+        assert err.startswith("construction error: no (l, r) split")
+
+    @pytest.mark.parametrize("channel", [
+        ["--epsilon", "0.3", "--p", "0"],
+        ["--epsilon", "0", "--p", "0.01", "--aw", "exact"],
+    ])
+    def test_bound_of_unbuildable_split_exit3(self, capsys, channel):
+        rc, out, err = run_cli(
+            capsys, "bound", "--n", "15", "--k", "3", "--l", "12", *channel
+        )
+        assert (rc, out) == (3, "")
+        assert "mask-check degree 10 != l=12" in err
+
+    def test_simulation_allocation_skips_unbuildable(self, capsys):
+        rc, out, err = run_cli(
+            capsys, "allocate", "--n", "15", "--k", "3", "--epsilon", "0.3",
+            "--p", "0", "--method", "simulation", "--trials", "100",
+            "--threads", "1",
+        )
+        assert rc == 0, err
+        rep = json.loads(out)["reports"][0]
+        assert [c["l"] for c in rep["candidates"]] == [4, 8]
+
+    @pytest.mark.parametrize("argv", [
+        ["candidates"],
+        ["bound", *_CH],
+        ["simulate", *_CH, "--trials", "64", "--threads", "1"],
+        ["allocate", *_CH, "--threads", "1"],
+    ])
+    def test_k_above_n_exit2(self, capsys, argv):
+        rc, out, err = run_cli(capsys, *argv, "--n", "15", "--k", "19")
+        assert (rc, out) == (2, "")
+        assert "k + l exceeds n" in err
+
+    @pytest.mark.parametrize("argv", [
+        ["bound", "--k", "7", "--l", "5", *_CH],
+        ["code", "--k", "3", "--l", "12"],
+    ])
+    def test_m_mismatch_checked_first_exit2(self, capsys, argv):
+        # l = 5 is no multiple of m and (15, 3, 12) cannot be built, but
+        # the --m mismatch is reported first
+        rc, out, err = run_cli(capsys, *argv, "--n", "15", "--m", "5")
+        assert (rc, out) == (2, "")
+        assert "m=5 does not match n=15" in err
+
+
 class TestThreadsEnv:
     def test_env_override_invalid(self, capsys, monkeypatch):
         monkeypatch.setenv("PLBC_THREADS", "lots")

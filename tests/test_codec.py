@@ -459,7 +459,8 @@ class TestDecode:
 
 @st.composite
 def plbc_shapes(draw):
-    """A valid (n, k, l): l and r = n - k - l multiples of m, k >= 1."""
+    """An (n, k, l) with l and r = n - k - l multiples of m and k >= 1;
+    the split need not be buildable."""
     n = draw(st.sampled_from([15, 31, 63, 127]))
     m = n.bit_length()
     units = (n - 1) // m
@@ -473,13 +474,18 @@ class TestConstructionProperties:
     @given(shape=plbc_shapes(), seed=st.integers(0, 2**32 - 1))
     def test_construct_or_clean_error(self, shape, seed):
         n, k, l = shape
-        params = params_for(n, k, l)
+        d0 = 2 * (l // n.bit_length()) + 1 if l else 0
+        try:
+            params = params_for(n, k, l)
+        except ConstructionError:
+            params = None
         try:
             code = construct_pbch(n, k, l)
         except ConstructionError:
             code = None
+        assert (code is None) == (params is None)
         try:
-            masking_polys(n, l, params.d0)
+            masking_polys(n, l, d0)
             mask_ok = True
         except ConstructionError:
             mask_ok = False
@@ -504,13 +510,13 @@ class TestConstructionProperties:
         # the 2^l dual walk stays fast up to l = 18
         if l <= 18:
             try:
-                wd = weight_distribution(n, l, params.d0, "macwilliams")
+                wd = weight_distribution(n, l, d0, "macwilliams")
             except ConstructionError:
                 wd = None
             assert (wd is not None) == mask_ok
             if wd is not None:
                 assert wd.counts.sum() == pytest.approx(2.0 ** (n - l), rel=1e-12)
-                assert not wd.counts[1:params.d0].any()
+                assert not wd.counts[1:d0].any()
 
 
 class TestMessageInverse:
