@@ -49,7 +49,6 @@ from .codec import (
     construct_pbch,
     decode,
     encode,
-    mask_defects,
     mask_defects_one_step,
     masking_polys,
     message_inverse,
@@ -57,7 +56,7 @@ from .codec import (
     verify_distances,
 )
 from .errors import ConstructionError, NumericError
-from .gf2 import GF2m, BitMatrix, BitVector, rank, rref
+from .gf2 import GF2m, BitMatrix, BitVector
 from .simulate import SimResult, run_trials, trial_rng, wilson_interval
 
 __version__ = "0.1.0"
@@ -96,7 +95,6 @@ __all__ = [
     "log_binom",
     "log_binom_tail",
     "macwilliams_transform",
-    "mask_defects",
     "mask_defects_one_step",
     "masking_failure_bound",
     "masking_polys",
@@ -104,8 +102,6 @@ __all__ = [
     "minimal_polynomial",
     "params_for",
     "prob_defects",
-    "rank",
-    "rref",
     "run_trials",
     "sample_defects",
     "sample_errors",

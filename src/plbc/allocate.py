@@ -73,18 +73,11 @@ class AllocationReport:
         return out
 
 
-def _field_degree(n: int, m: int | None) -> int:
-    """The field degree m of length n; a given m must match it."""
-    expected = field_degree(n)
-    if m is not None and m != expected:
-        raise ValueError("m=%d does not match n=%d (expected %d)" % (m, n, expected))
-    return expected
-
-
-def enumerate_candidates(n: int, k: int, m: int | None = None) -> list[PlbcParams]:
-    """The splits of n - k into multiples l and r of m that ``PlbcParams``
-    accepts as buildable, l ascending; a ConstructionError when none is."""
-    m = _field_degree(n, m)
+def enumerate_candidates(n: int, k: int) -> list[PlbcParams]:
+    """The splits of n - k into multiples l and r of the field degree m that
+    ``PlbcParams`` accepts as buildable, l ascending; a ConstructionError
+    when none is."""
+    m = field_degree(n)
     if k > n:
         raise ValueError("k + l exceeds n")
     if (n - k) % m:
@@ -136,7 +129,6 @@ def _simulate_split(
 def allocate(
     n: int,
     k: int,
-    m: int | None,
     ch: ChannelParams,
     method: str = "bound",
     *,
@@ -155,7 +147,7 @@ def allocate(
     use, so all three report the same numbers for a split.  Ties go to the
     smallest l.
     """
-    cands = enumerate_candidates(n, k, m)
+    cands = enumerate_candidates(n, k)
     results = []
     if method == "bound":
         for c in cands:

@@ -15,7 +15,6 @@ import sys
 
 from .allocate import (
     _bound_split,
-    _field_degree,
     _simulate_split,
     allocate,
     enumerate_candidates,
@@ -77,15 +76,16 @@ def _json_text(obj) -> str:
 
 
 def _emit(args, schema: str, header: list[str], rows: list[list]) -> None:
-    """Write rows as CSV (schema comment line, header) or as JSON objects."""
+    """Write rows as CSV (schema comment line, header) or as JSON objects;
+    schema is the versioned name after ``plbc.``."""
     if args.format == "json":
         obj = {
-            "schema": "plbc.%s.v1" % schema,
+            "schema": "plbc.%s" % schema,
             "rows": [dict(zip(header, row)) for row in rows],
         }
         _write_text(_json_text(obj), args.out)
         return
-    lines = ["# schema=plbc.%s.v1" % schema, ",".join(header)]
+    lines = ["# schema=plbc.%s" % schema, ",".join(header)]
     lines += [",".join(_fmt(v) for v in row) for row in rows]
     _write_text("\n".join(lines) + "\n", args.out)
 
@@ -122,9 +122,8 @@ def _channels(args) -> list[tuple[int, ChannelParams]]:
 def _sweep_params(args):
     """Candidate parameter sets for --l (single) or the full l-sweep."""
     if args.l is not None:
-        _field_degree(args.n, args.m)
         return [params_for(args.n, args.k, args.l)]
-    return enumerate_candidates(args.n, args.k, args.m)
+    return enumerate_candidates(args.n, args.k)
 
 
 # ---------------------------------------------------------------------------
@@ -141,9 +140,9 @@ def _cmd_code(args) -> int:
 
 
 def _cmd_candidates(args) -> int:
-    cands = enumerate_candidates(args.n, args.k, args.m)
+    cands = enumerate_candidates(args.n, args.k)
     rows = [[c.t0, c.l, c.r, c.d0, c.d1] for c in cands]
-    _emit(args, "candidates", ["index", "l", "r", "d0", "d1"], rows)
+    _emit(args, "candidates.v2", ["t0", "l", "r", "d0", "d1"], rows)
     return 0
 
 
@@ -154,7 +153,7 @@ def _cmd_capacity(args) -> int:
             [cid, ch.epsilon, ch.p, ch.p_tilde, capacity_min(ch), capacity_max(ch)]
         )
     header = ["channel_id", "epsilon", "p", "p_tilde", "c_min", "c_max"]
-    _emit(args, "capacity", header, rows)
+    _emit(args, "capacity.v1", header, rows)
     return 0
 
 
@@ -178,7 +177,7 @@ def _cmd_simulate(args) -> int:
         "channel_id", "epsilon", "p", "l", "r", "trials",
         "mask_fails", "dec_fails", "rate", "ci_lo", "ci_hi", "seed",
     ]
-    _emit(args, "simulate", header, rows)
+    _emit(args, "simulate.v1", header, rows)
     return 0
 
 
@@ -197,7 +196,7 @@ def _cmd_bound(args) -> int:
         "channel_id", "epsilon", "p", "l", "r", "d0", "d1", "aw_method",
         "bound_mask_fail", "bound_maskok_fail", "bound_total",
     ]
-    _emit(args, "bound", header, rows)
+    _emit(args, "bound.v1", header, rows)
     return 0
 
 
@@ -207,7 +206,7 @@ def _cmd_allocate(args) -> int:
     reports = []
     for cid, ch in _channels(args):
         rep = allocate(
-            args.n, args.k, args.m, ch, args.method,
+            args.n, args.k, ch, args.method,
             trials=args.trials, seed=args.seed, threads=threads,
             stop_after_failures=stop, aw_method=_AW_NAMES[args.aw],
         )
@@ -227,7 +226,7 @@ def _cmd_allocate(args) -> int:
             "channel_id", "l", "r", "d0", "d1", "metric",
             "ci_lo", "ci_hi", "note", "best",
         ]
-        _emit(args, "allocate", header, rows)
+        _emit(args, "allocate.v1", header, rows)
     else:
         obj = {
             "schema": "plbc.allocate.v1",
@@ -252,10 +251,6 @@ def _add_code_args(sp, with_l=True, l_required=False):
             "--l", type=int, required=l_required, default=None,
             help="masking redundancy (default: sweep all candidates)",
         )
-    sp.add_argument(
-        "--m", type=int, default=None,
-        help="field degree (default: inferred from n)",
-    )
 
 
 def _add_channel_args(sp):

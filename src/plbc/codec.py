@@ -48,7 +48,6 @@ __all__ = [
     "construct_pbch",
     "decode",
     "encode",
-    "mask_defects",
     "mask_defects_one_step",
     "masking_polys",
     "message_inverse",
@@ -389,17 +388,6 @@ def _residual_weight(d: int, aug: list[int], l: int) -> int:
             acc ^= (d & row & (rhs - 1)).bit_count() & 1
         count += acc
     return count
-
-
-def mask_defects(code: PbchCode, w: BitVector, s: DefectVector) -> MaskResult:
-    """Choose the masking vector d for message w against defects s.
-
-    Step 1 solves d * G0 = (w G1 - s) on all stuck positions; when that
-    system is inconsistent, step 2 solves it on the first d0 - 1 stuck
-    positions (ascending cell index), which is always consistent, and the
-    remaining mismatches are left for the decoder.
-    """
-    return encode(code, w, s)[1]
 
 
 def mask_defects_one_step(code: PbchCode, w: BitVector, s: DefectVector) -> MaskResult:

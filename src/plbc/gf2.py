@@ -29,7 +29,6 @@ __all__ = [
     "poly_eval",
     "poly_mul",
     "poly_reciprocal",
-    "rank",
     "rref",
 ]
 
@@ -332,16 +331,6 @@ class BitMatrix:
         words = np.frombuffer(raw, dtype="<u8").astype(np.uint64)
         return cls(len(row_ints), cols, words.reshape(len(row_ints), nw))
 
-    @classmethod
-    def from_dense(cls, dense) -> "BitMatrix":
-        arr = np.asarray(dense, dtype=np.uint8)
-        if arr.ndim != 2:
-            raise ValueError("dense matrix must be 2-D")
-        return cls(arr.shape[0], arr.shape[1], _pack_rows(arr))
-
-    def row(self, i: int) -> BitVector:
-        return BitVector(self.cols, self.row_int(i))
-
     def row_int(self, i: int) -> int:
         return words_to_int(self.words[i])
 
@@ -351,15 +340,6 @@ class BitMatrix:
         step = _n_words(self.cols) * _WORD_BYTES
         return [int.from_bytes(raw[i * step:(i + 1) * step], "little")
                 for i in range(self.rows)]
-
-    def get(self, i: int, j: int) -> int:
-        if not (0 <= i < self.rows and 0 <= j < self.cols):
-            raise ValueError("index out of range")
-        return int(self.words[i, j >> 6] >> np.uint64(j & 63)) & 1
-
-    def dense(self) -> np.ndarray:
-        raw = self.words.astype("<u8").view(np.uint8)
-        return np.unpackbits(raw, axis=1, count=self.cols, bitorder="little")
 
     def transpose(self) -> "BitMatrix":
         """The transpose, by masked swaps inside each 64 x 64 bit block.
@@ -380,26 +360,9 @@ class BitMatrix:
         words = a.transpose(2, 1, 0).reshape(cb * 64, rb)[: self.cols]
         return BitMatrix(self.cols, self.rows, np.ascontiguousarray(words))
 
-    def vecmat(self, v: BitVector) -> BitVector:
-        """v * M for a length-``rows`` vector: XOR of the selected rows."""
-        if v.n != self.rows:
-            raise ValueError("vector length must equal row count")
-        out = np.bitwise_xor.reduce(self.words[v.indices()], axis=0)
-        return BitVector(self.cols, words_to_int(out))
-
-    def matvec_parity(self, v: BitVector) -> BitVector:
-        """M * v^T for a length-``cols`` vector: per-row AND parity."""
-        if v.n != self.cols:
-            raise ValueError("vector length must equal column count")
-        par = np.bitwise_count(self.words & v.words).sum(axis=1) & 1
-        return BitVector(self.rows, _bits_to_int(par))
-
     def column_ints(self) -> list[int]:
         """Columns as ints (bit i = row i); handy for small solves."""
         return self.transpose().row_ints()
-
-    def copy(self) -> "BitMatrix":
-        return BitMatrix(self.rows, self.cols, self.words.copy())
 
     def __eq__(self, other) -> bool:
         return (
@@ -417,45 +380,49 @@ class BitMatrix:
 # row spaces: elimination and enumeration
 # ---------------------------------------------------------------------------
 
+def _eliminate(rows: list[int], n_cols: int) -> list[int]:
+    """Gauss-Jordan elimination of int rows in place over bit columns
+    [0, n_cols); returns the pivot columns.
+
+    The pivot is the first row at or below the current one with the column
+    bit set, and it is eliminated from every other row, above and below, so
+    pivot row i ends up the only row with bit pivots[i] set.
+    """
+    nrows = len(rows)
+    pivots: list[int] = []
+    prow = 0
+    for col in range(n_cols):
+        if prow == nrows:
+            break
+        bit = 1 << col
+        for piv in range(prow, nrows):
+            if rows[piv] & bit:
+                break
+        else:
+            continue
+        rows[prow], rows[piv] = rows[piv], rows[prow]
+        pr = rows[prow]
+        for i in range(nrows):
+            if i != prow and rows[i] & bit:
+                rows[i] ^= pr
+        pivots.append(col)
+        prow += 1
+    return pivots
+
+
 def rref(mat: BitMatrix, n_pivot_cols: int | None = None) -> tuple[BitMatrix, list[int]]:
     """Reduced row echelon form over the first ``n_pivot_cols`` columns.
 
-    Returns the reduced matrix and the pivot column list.  Rows are
-    eliminated above and below each pivot, so pivot columns end up as unit
-    columns.
+    Returns the reduced matrix and the pivot column list; pivot columns end
+    up as unit columns.
     """
     if n_pivot_cols is None:
         n_pivot_cols = mat.cols
     if n_pivot_cols > mat.cols:
         raise ValueError("pivot column count exceeds matrix width")
-    W = mat.words.copy()
-    nrows = mat.rows
-    pivots: list[int] = []
-    prow = 0
-    one = np.uint64(1)
-    for col in range(n_pivot_cols):
-        if prow == nrows:
-            break
-        w = col >> 6
-        b = np.uint64(col & 63)
-        below = (W[prow:, w] >> b) & one
-        nz = np.flatnonzero(below)
-        if nz.size == 0:
-            continue
-        piv = prow + int(nz[0])
-        if piv != prow:
-            W[[prow, piv]] = W[[piv, prow]]
-        hits = np.flatnonzero((W[:, w] >> b) & one)
-        hits = hits[hits != prow]
-        if hits.size:
-            W[hits] ^= W[prow]
-        pivots.append(col)
-        prow += 1
-    return BitMatrix(nrows, mat.cols, W), pivots
-
-
-def rank(mat: BitMatrix) -> int:
-    return len(rref(mat)[1])
+    rows = mat.row_ints()
+    pivots = _eliminate(rows, n_pivot_cols)
+    return BitMatrix.from_row_ints(rows, mat.cols), pivots
 
 
 def _solve_aug_rows(rows: list[int], width: int) -> int | None:
@@ -465,35 +432,15 @@ def _solve_aug_rows(rows: list[int], width: int) -> int | None:
     system is inconsistent.
     """
     rows = list(rows)
-    nrows = len(rows)
-    pivots: list[int] = []
-    prow = 0
-    for col in range(width):
-        if prow == nrows:
-            break
-        bit = 1 << col
-        piv = -1
-        for i in range(prow, nrows):
-            if rows[i] & bit:
-                piv = i
-                break
-        if piv < 0:
-            continue
-        rows[prow], rows[piv] = rows[piv], rows[prow]
-        pr = rows[prow]
-        for i in range(nrows):
-            if i != prow and rows[i] & bit:
-                rows[i] ^= pr
-        pivots.append(col)
-        prow += 1
+    pivots = _eliminate(rows, width)
+    npiv = len(pivots)
     rhs = 1 << width
-    for i in range(prow, nrows):
-        if rows[i] & rhs:
-            return None
     x = 0
-    for i, col in enumerate(pivots):
-        if rows[i] & rhs:
-            x |= 1 << col
+    for i, row in enumerate(rows):
+        if row & rhs:
+            if i >= npiv:  # a zero row with RHS 1
+                return None
+            x |= 1 << pivots[i]
     return x
 
 

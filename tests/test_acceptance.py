@@ -29,7 +29,7 @@ from plbc import (
 )
 from plbc.cli import TABLE2_CHANNELS, main
 
-N_BIG, K_BIG, M_BIG = 1023, 923, 10
+N_BIG, K_BIG = 1023, 923
 
 EXPECTED_CANDIDATES = [
     (0, 100, 0, 21),
@@ -69,7 +69,7 @@ def _int_rank(vals) -> int:
 
 def test_criterion_01_candidate_family_enumeration(capsys):
     t0 = time.monotonic()
-    rc = main(["candidates", "--n", "1023", "--k", "923", "--m", "10"])
+    rc = main(["candidates", "--n", "1023", "--k", "923"])
     out = capsys.readouterr().out
     dt = time.monotonic() - t0
     rows = [
@@ -107,7 +107,7 @@ def test_criterion_02_channel_capacity_values(capsys):
 def test_criterion_03_bound_guided_allocation(capsys):
     t0 = time.monotonic()
     best = [
-        allocate(N_BIG, K_BIG, M_BIG, ChannelParams(eps, p)).best.candidate.l
+        allocate(N_BIG, K_BIG, ChannelParams(eps, p)).best.candidate.l
         for _, (eps, p) in sorted(TABLE2_CHANNELS.items())
     ]
     dt = time.monotonic() - t0
@@ -126,10 +126,10 @@ def test_criterion_03_bound_guided_allocation(capsys):
 def test_criterion_04_boundary_allocation_optima(capsys):
     t0 = time.monotonic()
     got = [
-        allocate(N_BIG, K_BIG, M_BIG, ChannelParams(0.0, 4e-3)).best.candidate.l,
-        allocate(N_BIG, K_BIG, M_BIG, ChannelParams(8e-3, 0.0)).best.candidate.l,
-        allocate(15, 7, None, ChannelParams(0.0, 0.01)).best.candidate.l,
-        allocate(15, 7, None, ChannelParams(0.3, 0.0)).best.candidate.l,
+        allocate(N_BIG, K_BIG, ChannelParams(0.0, 4e-3)).best.candidate.l,
+        allocate(N_BIG, K_BIG, ChannelParams(8e-3, 0.0)).best.candidate.l,
+        allocate(15, 7, ChannelParams(0.0, 0.01)).best.candidate.l,
+        allocate(15, 7, ChannelParams(0.3, 0.0)).best.candidate.l,
     ]
     dt = time.monotonic() - t0
     ok = got == [0, N_BIG - K_BIG, 0, 8] and dt < 10.0

@@ -24,14 +24,14 @@ CANDIDATE_FAMILY_1023 = [
 
 class TestEnumerate:
     def test_n1023_eleven_candidates(self):
-        cands = enumerate_candidates(1023, 923, 10)
+        cands = enumerate_candidates(1023, 923)
         assert len(cands) == 11
         got = [(c.l, c.r, c.d0, c.d1) for c in cands]
         assert got == CANDIDATE_FAMILY_1023
         assert [c.t0 for c in cands] == list(range(11))
 
     def test_small_family(self):
-        cands = enumerate_candidates(15, 7, 4)
+        cands = enumerate_candidates(15, 7)
         assert [(c.l, c.r) for c in cands] == [(0, 8), (4, 4), (8, 0)]
         assert [(c.d0, c.d1) for c in cands] == [(0, 5), (3, 3), (5, 0)]
 
@@ -40,11 +40,7 @@ class TestEnumerate:
 
     def test_indivisible_redundancy(self):
         with pytest.raises(ValueError):
-            enumerate_candidates(1023, 920, 10)
-
-    def test_m_mismatch(self):
-        with pytest.raises(ValueError):
-            enumerate_candidates(1023, 923, 8)
+            enumerate_candidates(1023, 920)
 
 
 def buildable_by_polynomials(n, k, l):
@@ -113,10 +109,10 @@ class TestExistence:
 
     def test_only_buildable_splits_ranked(self):
         assert [c.l for c in enumerate_candidates(15, 3)] == [4, 8]
-        rep = allocate(15, 3, 4, ChannelParams(0.3, 0.0), "bound")
+        rep = allocate(15, 3, ChannelParams(0.3, 0.0), "bound")
         assert [r.candidate.l for r in rep.results] == [4, 8]
         with pytest.raises(ConstructionError):
-            allocate(255, 55, 8, ChannelParams(0.01, 0.01), "bound")
+            allocate(255, 55, ChannelParams(0.01, 0.01), "bound")
 
     def test_k_above_n(self):
         with pytest.raises(ValueError, match=r"k \+ l exceeds n"):
@@ -125,30 +121,30 @@ class TestExistence:
 
 class TestAllocateBound:
     def test_epsilon_zero_prefers_all_ecc(self):
-        rep = allocate(1023, 923, 10, ChannelParams(0.0, 4e-3), "bound")
+        rep = allocate(1023, 923, ChannelParams(0.0, 4e-3), "bound")
         assert rep.best.candidate.l == 0
-        rep = allocate(15, 7, 4, ChannelParams(0.0, 0.01), "bound")
+        rep = allocate(15, 7, ChannelParams(0.0, 0.01), "bound")
         assert rep.best.candidate.l == 0
 
     def test_p_zero_prefers_all_masking(self):
-        rep = allocate(1023, 923, 10, ChannelParams(8e-3, 0.0), "bound")
+        rep = allocate(1023, 923, ChannelParams(8e-3, 0.0), "bound")
         assert rep.best.candidate.l == 100
-        rep = allocate(15, 7, 4, ChannelParams(0.3, 0.0), "bound")
+        rep = allocate(15, 7, ChannelParams(0.3, 0.0), "bound")
         assert rep.best.candidate.l == 8
 
     def test_channel5_interior_optimum(self):
-        rep = allocate(1023, 923, 10, ChannelParams(6e-3, 1e-3), "bound")
+        rep = allocate(1023, 923, ChannelParams(6e-3, 1e-3), "bound")
         assert rep.best.candidate.l == 30
 
     def test_results_sorted_and_best_is_min(self):
-        rep = allocate(1023, 923, 10, ChannelParams(2e-3, 3e-3), "bound")
+        rep = allocate(1023, 923, ChannelParams(2e-3, 3e-3), "bound")
         ls = [r.candidate.l for r in rep.results]
         assert ls == sorted(ls)
         assert all(rep.best.metric <= r.metric for r in rep.results)
 
     def test_tie_breaks_to_smallest_l(self):
         # a noiseless channel zeroes every metric, so the tie rule decides
-        rep = allocate(15, 7, 4, ChannelParams(0.0, 0.0), "bound")
+        rep = allocate(15, 7, ChannelParams(0.0, 0.0), "bound")
         assert all(r.metric == 0.0 for r in rep.results)
         assert rep.best.candidate.l == 0
 
@@ -172,30 +168,30 @@ class TestAllocateBound:
             6: (7e-3, 5e-4),
         }
         for cid, (eps, p) in channels.items():
-            rep = allocate(1023, 923, 10, ChannelParams(eps, p), "bound")
+            rep = allocate(1023, 923, ChannelParams(eps, p), "bound")
             metrics = [r.metric for r in rep.results]
             shape = [+1 if b > a else -1 for a, b in zip(metrics, metrics[1:])]
             assert shape == want_shapes[cid], (cid, metrics)
 
     def test_detail_carries_bound(self):
-        rep = allocate(15, 7, 4, ChannelParams(0.05, 0.01), "bound")
+        rep = allocate(15, 7, ChannelParams(0.05, 0.01), "bound")
         for res in rep.results:
             assert res.detail is not None
             assert res.metric == res.detail.total
 
     def test_unknown_method(self):
         with pytest.raises(ValueError):
-            allocate(15, 7, 4, ChannelParams(0.1, 0.01), "tea-leaves")
+            allocate(15, 7, ChannelParams(0.1, 0.01), "tea-leaves")
 
 
 class TestAllocateSimulation:
     def test_needs_trials(self):
         with pytest.raises(ValueError):
-            allocate(15, 7, 4, ChannelParams(0.1, 0.01), "simulation")
+            allocate(15, 7, ChannelParams(0.1, 0.01), "simulation")
 
     def test_small_family_report(self):
         ch = ChannelParams(0.3, 0.0)
-        rep = allocate(15, 7, 4, ch, "simulation", trials=4096, seed=21)
+        rep = allocate(15, 7, ch, "simulation", trials=4096, seed=21)
         assert rep.method == "simulation"
         for res in rep.results:
             assert res.ci is not None
@@ -208,8 +204,8 @@ class TestAllocateSimulation:
 
     def test_reproducible(self):
         ch = ChannelParams(0.2, 0.02)
-        a = allocate(15, 7, 4, ch, "simulation", trials=2048, seed=33)
-        b = allocate(15, 7, 4, ch, "simulation", trials=2048, seed=33)
+        a = allocate(15, 7, ch, "simulation", trials=2048, seed=33)
+        b = allocate(15, 7, ch, "simulation", trials=2048, seed=33)
         assert [r.metric for r in a.results] == [r.metric for r in b.results]
 
     def test_candidates_use_distinct_streams(self):
@@ -217,7 +213,7 @@ class TestAllocateSimulation:
         # see different randomness; equality across the report would hint
         # at stream reuse
         ch = ChannelParams(0.25, 0.03)
-        rep = allocate(15, 7, 4, ch, "simulation", trials=2048, seed=33)
+        rep = allocate(15, 7, ch, "simulation", trials=2048, seed=33)
         fail_counts = [r.detail.decoding_failures for r in rep.results]
         assert len(set(fail_counts)) > 1
 
@@ -225,7 +221,7 @@ class TestAllocateSimulation:
 class TestReportDict:
     def test_schema(self):
         ch = ChannelParams(6e-3, 1e-3)
-        rep = allocate(1023, 923, 10, ch, "bound")
+        rep = allocate(1023, 923, ch, "bound")
         d = rep.to_dict()
         assert set(d) == {"channel", "method", "candidates", "best_l", "best_r"}
         assert set(d["channel"]) == {"epsilon", "p", "c_min", "c_max", "p_tilde"}
@@ -236,7 +232,7 @@ class TestReportDict:
 
     def test_simulation_entries_have_ci(self):
         ch = ChannelParams(0.3, 0.0)
-        rep = allocate(15, 7, 4, ch, "simulation", trials=1024, seed=3)
+        rep = allocate(15, 7, ch, "simulation", trials=1024, seed=3)
         d = rep.to_dict()
         for entry in d["candidates"]:
             assert "ci" in entry

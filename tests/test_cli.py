@@ -7,8 +7,8 @@ from plbc.channel import ChannelParams
 from plbc.cli import main
 
 GOLDEN_CANDIDATES = """\
-# schema=plbc.candidates.v1
-index,l,r,d0,d1
+# schema=plbc.candidates.v2
+t0,l,r,d0,d1
 0,0,100,0,21
 1,10,90,3,19
 2,20,80,5,17
@@ -82,32 +82,32 @@ GOLDEN_OUTPUT = {
 }
 """,
     ("candidates", "csv"): """\
-# schema=plbc.candidates.v1
-index,l,r,d0,d1
+# schema=plbc.candidates.v2
+t0,l,r,d0,d1
 0,0,8,0,5
 1,4,4,3,3
 2,8,0,5,0
 """,
     ("candidates", "json"): """\
 {
-  "schema": "plbc.candidates.v1",
+  "schema": "plbc.candidates.v2",
   "rows": [
     {
-      "index": 0,
+      "t0": 0,
       "l": 0,
       "r": 8,
       "d0": 0,
       "d1": 5
     },
     {
-      "index": 1,
+      "t0": 1,
       "l": 4,
       "r": 4,
       "d0": 3,
       "d1": 3
     },
     {
-      "index": 2,
+      "t0": 2,
       "l": 8,
       "r": 0,
       "d0": 5,
@@ -392,21 +392,10 @@ class TestCode:
             main(["code", "--n", "15", "--k", "7"])  # --l is required
         assert exc.value.code == 2
 
-    def test_m_mismatch_exit2(self, capsys):
-        # the same check as bound and simulate make for the same arguments
-        for argv in (["code"], ["bound", "--epsilon", "0.1", "--p", "0.01"]):
-            rc, out, err = run_cli(
-                capsys, *argv, "--n", "15", "--k", "7", "--l", "4", "--m", "5"
-            )
-            assert (rc, out) == (2, "")
-            assert "m=5 does not match n=15" in err
-
 
 class TestCandidates:
     def test_golden_csv(self, capsys):
-        rc, out, _ = run_cli(
-            capsys, "candidates", "--n", "1023", "--k", "923", "--m", "10"
-        )
+        rc, out, _ = run_cli(capsys, "candidates", "--n", "1023", "--k", "923")
         assert rc == 0
         assert out == GOLDEN_CANDIDATES
 
@@ -494,7 +483,7 @@ class TestSimulate:
         )
         assert rc == 0
         row = out.strip().splitlines()[2].split(",")
-        rep = allocate(15, 7, None, ChannelParams(0.2, 0.02), "simulation",
+        rep = allocate(15, 7, ChannelParams(0.2, 0.02), "simulation",
                        trials=2048, seed=33)
         sim = next(r.detail for r in rep.results if r.candidate.l == 4)
         want = [str(sim.trials), str(sim.masking_failures), str(sim.decoding_failures)]
@@ -674,6 +663,24 @@ class TestExitCodes:
         assert rc == 4
         assert err.startswith("numeric error:")
 
+    @pytest.mark.parametrize("argv", [
+        ["code", "--n", "15", "--k", "7", "--l", "4", "--m", "4"],
+        ["candidates", "--n", "1023", "--k", "923", "--m", "10"],
+        ["simulate", "--n", "15", "--k", "7", *_CH, "--trials", "64", "--m", "4"],
+        ["bound", "--n", "15", "--k", "7", "--l", "4", "--m", "5",
+         "--epsilon", "0.1", "--p", "0.01"],
+        ["allocate", "--n", "15", "--k", "7", *_CH, "--m", "4"],
+    ])
+    def test_m_option_rejected_exit2(self, capsys, argv):
+        # n alone fixes m, so no subcommand takes --m, matching or not; in
+        # code and allocate argparse reads it as a prefix of --matrices or
+        # --method, and the value after it is then the error
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert "error: unrecognized arguments: " in err or "invalid choice: '4'" in err
+
 
 class TestSplitExistence:
     """Every command agrees on which splits exist (``PlbcParams``)."""
@@ -722,17 +729,6 @@ class TestSplitExistence:
         rc, out, err = run_cli(capsys, *argv, "--n", "15", "--k", "19")
         assert (rc, out) == (2, "")
         assert "k + l exceeds n" in err
-
-    @pytest.mark.parametrize("argv", [
-        ["bound", "--k", "7", "--l", "5", *_CH],
-        ["code", "--k", "3", "--l", "12"],
-    ])
-    def test_m_mismatch_checked_first_exit2(self, capsys, argv):
-        # l = 5 is no multiple of m and (15, 3, 12) cannot be built, but
-        # the --m mismatch is reported first
-        rc, out, err = run_cli(capsys, *argv, "--n", "15", "--m", "5")
-        assert (rc, out) == (2, "")
-        assert "m=5 does not match n=15" in err
 
 
 class TestThreadsEnv:

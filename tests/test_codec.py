@@ -16,7 +16,6 @@ from plbc.codec import (
     construct_pbch,
     decode,
     encode,
-    mask_defects,
     mask_defects_one_step,
     masking_polys,
     message_inverse,
@@ -24,7 +23,7 @@ from plbc.codec import (
     verify_distances,
 )
 from plbc.errors import ConstructionError
-from plbc.gf2 import BitMatrix, BitVector, _n_words, poly_divmod, rank, rref
+from plbc.gf2 import BitMatrix, BitVector, poly_divmod, rref
 
 CANDIDATE_FAMILY_1023 = [
     (0, 100, 0, 21),
@@ -47,18 +46,21 @@ def rref_message_inverse(gen_message, gen_mask):
     Row i of the reduced matrix with pivot column c puts its I_k tail into
     column c of T; columns without a pivot stay zero.
     """
-    k, l, n = gen_message.rows, gen_mask.rows, gen_message.cols
-    aug = BitMatrix(k + l, n + k)
-    aug.words[:k, : _n_words(n)] = gen_message.words
-    aug.words[k:, : _n_words(n)] = gen_mask.words
-    for i in range(k):
-        aug.words[i, (n + i) >> 6] |= np.uint64(1 << ((n + i) & 63))
-    red, pivots = rref(aug, n_pivot_cols=n)
-    assert len(pivots) == k + l
-    dense = np.zeros((k, n), dtype=np.uint8)
-    for i, col in enumerate(pivots):
-        dense[BitVector(k, red.row_int(i) >> n).indices(), col] = 1
-    return BitMatrix.from_dense(dense)
+    k, n = gen_message.rows, gen_message.cols
+    rows = [row | 1 << (n + i) for i, row in enumerate(gen_message.row_ints())]
+    rows += gen_mask.row_ints()
+    red, pivots = rref(BitMatrix.from_row_ints(rows, n + k), n_pivot_cols=n)
+    assert len(pivots) == len(rows)
+    t_cols = [0] * n
+    for row, col in zip(red.row_ints(), pivots):
+        t_cols[col] = row >> n
+    return BitMatrix.from_row_ints(t_cols, k).transpose()
+
+
+def parities(mat, v):
+    """M v^T as an int: bit i is the parity of row i of M ANDed with v."""
+    return sum(((row & v.value).bit_count() & 1) << i
+               for i, row in enumerate(mat.row_ints()))
 
 
 def gray_min_weight(row_ints, skip=None):
@@ -174,17 +176,14 @@ class TestConstruction:
 
     def test_message_inverse_identities(self, code15):
         # G1 Gt^T = I and G0 Gt^T = 0
-        for i in range(7):
-            row = code15.gen_message.row(i)
-            got = code15.msg_inverse.matvec_parity(row)
-            assert got == BitVector.from_indices(7, [i])
-        for i in range(4):
-            row = code15.gen_mask.row(i)
-            assert code15.msg_inverse.matvec_parity(row).weight() == 0
+        for i, row in enumerate(code15.gen_message.row_ints()):
+            assert parities(code15.msg_inverse, BitVector(15, row)) == 1 << i
+        for row in code15.gen_mask.row_ints():
+            assert parities(code15.msg_inverse, BitVector(15, row)) == 0
 
     def test_trivial_intersection(self, code15):
-        stacked = np.vstack([code15.gen_message.words, code15.gen_mask.words])
-        assert rank(BitMatrix(11, 15, stacked)) == 11
+        stacked = code15.gen_message.row_ints() + code15.gen_mask.row_ints()
+        assert len(rref(BitMatrix.from_row_ints(stacked, 15))[1]) == 11
 
     def test_parity_rows_are_odd_syndrome_bits(self, code15, code15_t2, code1023_l20):
         # _syndromes reads the odd syndromes off H: row j*m + b must hold
@@ -194,13 +193,12 @@ class TestConstruction:
             for j in range(t1):
                 vals = code.field.exp_np[(np.arange(n) * (2 * j + 1)) % n]
                 want = (vals >> np.arange(m)[:, None]) & 1
-                assert np.array_equal(code.parity.dense()[j * m:(j + 1) * m], want)
+                got = code.parity.row_ints()[j * m:(j + 1) * m]
+                assert got == [BitVector.from_bits(bits).value for bits in want]
 
     def test_parity_annihilates_both(self, code15):
-        for i in range(7):
-            assert code15.parity.matvec_parity(code15.gen_message.row(i)).weight() == 0
-        for i in range(4):
-            assert code15.parity.matvec_parity(code15.gen_mask.row(i)).weight() == 0
+        for row in code15.gen_message.row_ints() + code15.gen_mask.row_ints():
+            assert parities(code15.parity, BitVector(15, row)) == 0
 
     def test_distances_check_out(self, code15, code15_t2):
         assert verify_distances(code15) == (3, 3)
@@ -277,12 +275,12 @@ class TestMasking:
             for pos in itertools.combinations(range(15), u):
                 for vals in itertools.product((0, 1), repeat=u):
                     s = DefectVector.from_positions(15, list(pos), list(vals))
-                    res = mask_defects(code15, w, s)
+                    res = encode(code15, w, s)[1]
                     assert res.step_used == 1
                     assert res.unmasked == 0
 
     def test_u0(self, code15):
-        res = mask_defects(code15, BitVector(7), DefectVector.all_clear(15))
+        res = encode(code15, BitVector(7), DefectVector.all_clear(15))[1]
         assert res.unmasked == 0 and res.step_used == 1
         assert res.d.weight() == 0
 
@@ -296,7 +294,7 @@ class TestMasking:
             pos = sorted(int(i) for i in rng.choice(15, size=3, replace=False))
             vals = [int(v) for v in rng.integers(0, 2, size=3)]
             s = DefectVector.from_positions(15, pos, vals)
-            res = mask_defects(code15, w, s)
+            res = encode(code15, w, s)[1]
             if res.step_used == 2:
                 step2 += 1
                 assert res.unmasked == 1
@@ -335,7 +333,7 @@ class TestMasking:
             pos = sorted(int(i) for i in rng.choice(15, size=u, replace=False))
             vals = [int(v) for v in rng.integers(0, 2, size=u)]
             s = DefectVector.from_positions(15, pos, vals)
-            two = mask_defects(code15, w, s)
+            two = encode(code15, w, s)[1]
             one = mask_defects_one_step(code15, w, s)
             assert two.unmasked <= one.unmasked
             if u <= 2:
@@ -351,7 +349,7 @@ class TestMasking:
         for _ in range(100):
             w = BitVector.from_int(7, int(rng.integers(0, 128)))
             c, _ = encode(code15, w, DefectVector.all_clear(15))
-            assert code15.parity.matvec_parity(c).weight() == 0
+            assert parities(code15.parity, c) == 0
 
     def test_encode_arg_validation(self, code15):
         with pytest.raises(ValueError):
@@ -542,9 +540,9 @@ class TestMessageInverse:
 
 
 def _flip(mat, i, j):
-    out = mat.copy()
-    out.words[i, j >> 6] ^= np.uint64(1 << (j & 63))
-    return out
+    rows = mat.row_ints()
+    rows[i] ^= 1 << j
+    return BitMatrix.from_row_ints(rows, mat.cols)
 
 
 class TestIdentityChecks:

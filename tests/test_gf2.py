@@ -14,7 +14,6 @@ from plbc.gf2 import (
     poly_eval,
     poly_mul,
     poly_reciprocal,
-    rank,
     rref,
 )
 
@@ -30,6 +29,20 @@ def dense_rank(rows, cols):
         if row:
             basis.append(row)
     return len(basis)
+
+
+def row_ints(dense):
+    """The rows of a 0/1 array as ints, column j as bit j."""
+    return [sum(int(b) << j for j, b in enumerate(row)) for row in dense]
+
+
+def xor_rows(rows, x):
+    """x * M for M given as int rows: the XOR of the rows x selects."""
+    out = 0
+    for i, row in enumerate(rows):
+        if (x >> i) & 1:
+            out ^= row
+    return out
 
 
 class TestFieldArithmetic:
@@ -198,38 +211,16 @@ class TestBitVector:
 
 
 class TestBitMatrix:
-    def test_vecmat_matches_dense(self):
-        rng = np.random.default_rng(7)
-        for _ in range(50):
-            rows, cols = int(rng.integers(1, 20)), int(rng.integers(1, 90))
-            dense = rng.integers(0, 2, size=(rows, cols), dtype=np.uint8)
-            mat = BitMatrix.from_dense(dense)
-            sel = rng.integers(0, 2, size=rows, dtype=np.uint8)
-            got = mat.vecmat(BitVector.from_bits(sel))
-            want = (sel @ dense) % 2
-            assert np.array_equal(got.bits(), want.astype(np.uint8))
-
-    def test_matvec_parity_matches_dense(self):
-        rng = np.random.default_rng(9)
-        for _ in range(50):
-            rows, cols = int(rng.integers(1, 20)), int(rng.integers(1, 90))
-            dense = rng.integers(0, 2, size=(rows, cols), dtype=np.uint8)
-            mat = BitMatrix.from_dense(dense)
-            v = rng.integers(0, 2, size=cols, dtype=np.uint8)
-            got = mat.matvec_parity(BitVector.from_bits(v))
-            want = (dense @ v) % 2
-            assert np.array_equal(got.bits(), want.astype(np.uint8))
-
     def test_transpose(self):
-        dense = np.array([[1, 0, 1], [0, 1, 1]], dtype=np.uint8)
-        assert np.array_equal(BitMatrix.from_dense(dense).transpose().dense(), dense.T)
+        t = BitMatrix.from_row_ints(row_ints([[1, 0, 1], [0, 1, 1]]), 3).transpose()
+        assert t.row_ints() == row_ints([[1, 0], [0, 1], [1, 1]])
         # shapes across and inside the 64 x 64 blocks, including empty ones
         rng = np.random.default_rng(7)
         for rows, cols in [(0, 5), (5, 0), (1, 1), (63, 65), (130, 64), (200, 1000)]:
             dense = rng.integers(0, 2, size=(rows, cols), dtype=np.uint8)
-            got = BitMatrix.from_dense(dense).transpose()
+            got = BitMatrix.from_row_ints(row_ints(dense), cols).transpose()
             assert (got.rows, got.cols) == (cols, rows)
-            assert np.array_equal(got.dense(), dense.T)
+            assert got.row_ints() == row_ints(dense.T)
 
     def test_from_row_ints_rejects_wide_rows(self):
         with pytest.raises(ValueError):
@@ -243,17 +234,17 @@ class TestRref:
         ident = BitMatrix.from_row_ints([1 << i for i in range(6)], 6)
         red, pivots = rref(ident)
         assert pivots == list(range(6))
-        assert np.array_equal(red.dense(), ident.dense())
+        assert red == ident
 
     def test_zero(self):
         z = BitMatrix.from_row_ints([0, 0, 0], 4)
         red, pivots = rref(z)
         assert pivots == []
-        assert rank(z) == 0
+        assert red == z
 
     def test_duplicate_rows(self):
-        a = BitMatrix.from_dense(np.array([[1, 1], [1, 1]], dtype=np.uint8))
-        assert rank(a) == 1
+        a = BitMatrix.from_row_ints([0b11, 0b11], 2)
+        assert len(rref(a)[1]) == 1
 
     def test_rank_matches_oracle(self):
         rng = np.random.default_rng(11)
@@ -261,7 +252,7 @@ class TestRref:
             rows, cols = int(rng.integers(1, 16)), int(rng.integers(1, 40))
             ints = [int(rng.integers(0, 1 << cols)) for _ in range(rows)]
             mat = BitMatrix.from_row_ints(ints, cols)
-            assert rank(mat) == dense_rank(ints, cols)
+            assert len(rref(mat)[1]) == dense_rank(ints, cols)
 
     def test_rref_row_space_preserved(self):
         rng = np.random.default_rng(13)
@@ -273,6 +264,35 @@ class TestRref:
             all_rows = ints + [red.row_int(i) for i in range(rows)]
             assert dense_rank(all_rows, cols) == dense_rank(ints, cols)
 
+    def test_partial_pivot_columns(self):
+        # pivots only in the first n_pivot_cols columns: they increase, each
+        # is a unit column, the rows past them are zero there, and the bit
+        # at n_pivot_cols reads off the masking solver's solution
+        rng = np.random.default_rng(43)
+        for _ in range(200):
+            rows, cols = int(rng.integers(1, 14)), int(rng.integers(2, 40))
+            width = int(rng.integers(0, cols))
+            ints = [int(rng.integers(0, 1 << cols)) for _ in range(rows)]
+            red, pivots = rref(BitMatrix.from_row_ints(ints, cols), width)
+            out = red.row_ints()
+            assert (red.rows, red.cols) == (rows, cols)
+            assert pivots == sorted(set(pivots)) and all(c < width for c in pivots)
+            for i, col in enumerate(pivots):
+                assert [(row >> col) & 1 for row in out] == [int(j == i) for j in range(rows)]
+            low = (1 << width) - 1
+            assert not any(row & low for row in out[len(pivots):])
+            assert dense_rank(ints + out, cols) == dense_rank(ints, cols)
+            rhs = 1 << width
+            if any(row & rhs for row in out[len(pivots):]):
+                want = None
+            else:
+                want = sum(1 << col for row, col in zip(out, pivots) if row & rhs)
+            assert _solve_aug_rows(ints, width) == want
+
+    def test_pivot_count_above_width_rejected(self):
+        with pytest.raises(ValueError):
+            rref(BitMatrix.from_row_ints([1, 2], 3), 4)
+
 
 def solve_by_aug_rows(a, b):
     """x with x * a = b through the masking solver, or None if inconsistent.
@@ -280,8 +300,7 @@ def solve_by_aug_rows(a, b):
     Column j of ``a`` with b_j at bit a.rows is one augmented row.
     """
     cols = a.column_ints()
-    bb = b.bits()
-    aug = [cols[j] | (int(bb[j]) << a.rows) for j in range(a.cols)]
+    aug = [cols[j] | ((b.value >> j) & 1) << a.rows for j in range(a.cols)]
     x = _solve_aug_rows(aug, a.rows)
     return None if x is None else BitVector.from_int(a.rows, x)
 
@@ -293,18 +312,18 @@ class TestSolveRowSystem:
         for _ in range(300):
             l, u = int(rng.integers(1, 10)), int(rng.integers(1, 10))
             dense = rng.integers(0, 2, size=(l, u), dtype=np.uint8)
-            a = BitMatrix.from_dense(dense)
+            rows = row_ints(dense)
+            a = BitMatrix.from_row_ints(rows, u)
             b_bits = rng.integers(0, 2, size=u, dtype=np.uint8)
             b = BitVector.from_bits(b_bits)
             x = solve_by_aug_rows(a, b)
             if x is None:
                 misses += 1
                 # b must lie outside the row space
-                rows = [a.row_int(i) for i in range(l)]
                 assert dense_rank(rows + [b.value], u) == dense_rank(rows, u) + 1
             else:
                 hits += 1
-                assert a.vecmat(x) == b
+                assert xor_rows(rows, x.value) == b.value
         assert hits and misses
 
     def test_planted_solution(self):
@@ -312,12 +331,13 @@ class TestSolveRowSystem:
         for _ in range(200):
             l, u = int(rng.integers(1, 12)), int(rng.integers(1, 12))
             dense = rng.integers(0, 2, size=(l, u), dtype=np.uint8)
-            a = BitMatrix.from_dense(dense)
-            x0 = rng.integers(0, 2, size=l, dtype=np.uint8)
-            b = a.vecmat(BitVector.from_bits(x0))
+            rows = row_ints(dense)
+            a = BitMatrix.from_row_ints(rows, u)
+            x0 = BitVector.from_bits(rng.integers(0, 2, size=l, dtype=np.uint8))
+            b = BitVector(u, xor_rows(rows, x0.value))
             x = solve_by_aug_rows(a, b)
             assert x is not None
-            assert a.vecmat(x) == b
+            assert xor_rows(rows, x.value) == b.value
 
 
 def brute_span_counts(rows, n):
