@@ -9,6 +9,7 @@ significant digits; CSV output starts with a schema-version comment line.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -281,12 +282,14 @@ def _add_run_args(sp):
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    # a prefix of a long option is an error, not a guess
+    no_abbrev = functools.partial(argparse.ArgumentParser, allow_abbrev=False)
+    parser = no_abbrev(
         prog="plbc",
         description="Partitioned BCH codes for defect-prone memories: "
         "construction, simulation, failure bounds, redundancy allocation.",
     )
-    sub = parser.add_subparsers(dest="command", required=True)
+    sub = parser.add_subparsers(dest="command", required=True, parser_class=no_abbrev)
 
     sp = sub.add_parser("code", help="construct a code and print its descriptor")
     _add_code_args(sp, l_required=True)

@@ -17,6 +17,7 @@ one derivation of (h*, p): the codec and the weight distributions of
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -37,6 +38,7 @@ from .gf2 import (
     _solve_aug_rows,
     _span_weight_counts,
     poly_divmod,
+    poly_mul,
     poly_reciprocal,
 )
 
@@ -142,10 +144,11 @@ class DecodeOutcome:
 class PbchCode:
     """A constructed partitioned BCH code with cached decoding tables.
 
-    g_poly generates C; hstar_poly and p_poly are the masking code's (h*, p)
-    from ``masking_polys``, and the masking rows G0 are p(x) x^i.  The
-    decoding and masking tables are built once, from the fields, when the
-    code is created.
+    The code is its polynomials: g_poly generates C; hstar_poly and p_poly
+    are the masking code's (h*, p) from ``masking_polys``.  The parity check
+    H is stored because the decoder reads its rows.  The decoding and masking
+    tables are built once, from the fields, when the code is created; the
+    dense matrices G1, G0 and T are views built from g and p on first read.
     """
 
     params: PlbcParams
@@ -153,10 +156,7 @@ class PbchCode:
     g_poly: int
     p_poly: int
     hstar_poly: int
-    gen_message: BitMatrix
-    gen_mask: BitMatrix
     parity: BitMatrix
-    msg_inverse: BitMatrix
 
     def __post_init__(self):
         params, g = self.params, self.g_poly
@@ -179,6 +179,23 @@ class PbchCode:
         self._chien_pows = np.outer(
             np.arange(params.t1 + 1, dtype=np.int64), np.arange(params.n, dtype=np.int64)
         ) % params.n
+
+    @cached_property
+    def gen_message(self) -> BitMatrix:
+        """G1, the k message rows g(x) x^i."""
+        return BitMatrix.from_row_ints(
+            [self.g_poly << i for i in range(self.params.k)], self.params.n)
+
+    @cached_property
+    def gen_mask(self) -> BitMatrix:
+        """G0, the l masking rows p(x) x^i."""
+        return BitMatrix.from_row_ints(
+            [self.p_poly << i for i in range(self.params.l)], self.params.n)
+
+    @cached_property
+    def msg_inverse(self) -> BitMatrix:
+        """T, the k x n message inverse (see ``message_inverse``)."""
+        return message_inverse(self.params.n, self.g_poly, self.p_poly)
 
     @property
     def n(self) -> int:
@@ -275,62 +292,37 @@ def construct_pbch(n: int, k: int, l: int) -> PbchCode:
     field = field_for_length(n)
     g = bch_generator(n, params.d1 if params.r else 1, field)
     hstar, p = masking_polys(n, params.l, params.d0)
-    msg_inv = message_inverse(n, g, p)
-    gen_message = BitMatrix.from_row_ints([g << i for i in range(k)], n)
-    gen_mask = BitMatrix.from_row_ints([p << i for i in range(l)], n)
     parity = bch_parity_check(n, params.d1, field) if params.r else BitMatrix(0, n)
-
-    code = PbchCode(
-        params, field, g, p, hstar, gen_message, gen_mask, parity, msg_inv
-    )
+    code = PbchCode(params, field, g, p, hstar, parity)
     _check_code_identities(code)
     return code
 
 
 def _check_code_identities(code: PbchCode) -> None:
-    """Word-level identity checks run once per construction.
+    """Polynomial identity checks run once per construction.
 
-    G1 T^T = I, G0 T^T = 0 and H [G1; G0]^T = 0 on the codec's matrices.
-    Row i of G1 (G0) is g(x) x^i (p(x) x^i), so row i of M G1^T is the XOR
-    of M's columns i + s over the taps s of g; the columns of T and H come
-    from one transpose each (H is empty when r = 0).
+    With K = k + l, q = ``code._q`` and u = ``code._u_bytes[1]``, it checks
+    (1) q g = p with deg q = k, (2) u g = 1 mod x^K, (3) H g = 0 and
+    (4) p reciprocal(h*) = x^n + 1.  T c = (c u mod x^K) mod q, in both
+    ``_extract_message`` and ``message_inverse``.  By (2) a message row
+    g x^i (i < k) maps to x^i mod q, which is x^i as deg q = k (1): G1 T^T
+    = I.  A masking row p x^i = q g x^i (i < l) maps to q x^i mod q = 0, as
+    deg(q x^i) < K: G0 T^T = 0.  Row j m + b of H holds bit b of
+    alpha^((2j+1)s) at position s, so H sends a word f of degree < n to the
+    values f(alpha^(2j+1)); every row of G1 and G0 is g times a polynomial,
+    of degree < n, so (3) gives H [G1; G0]^T = 0.  (4) makes p = (x^n - 1)/h
+    for h the reciprocal of h*, so the code with parity check G0 is <h*>.
     """
     p = code.params
-    for name, mat, poly in (("gen_message", code.gen_message, code.g_poly),
-                            ("gen_mask", code.gen_mask, code.p_poly)):
-        if not _rows_are_shifts(mat, poly):
-            raise ConstructionError("%s rows are not shifts of its polynomial" % name)
-    t_cols = code.msg_inverse.transpose().words
-    h_cols = code.parity.transpose().words
-    g1_t_xor_i = _tap_xor(t_cols, code.g_poly, p.k)
-    idx = np.arange(p.k)
-    g1_t_xor_i[idx, idx >> 6] ^= np.uint64(1) << (idx & 63).astype(np.uint64)
-    for what, bad in (("gen_message * msg_inverse^T != I", g1_t_xor_i),
-                      ("gen_mask * msg_inverse^T != 0", _tap_xor(t_cols, code.p_poly, p.l)),
-                      ("gen_message rows fail parity", _tap_xor(h_cols, code.g_poly, p.k)),
-                      ("gen_mask rows fail parity", _tap_xor(h_cols, code.p_poly, p.l))):
-        rows = np.flatnonzero(bad.any(axis=1))
-        if rows.size:
-            raise ConstructionError("%s at row %d" % (what, rows[0]))
-
-
-def _rows_are_shifts(mat: BitMatrix, poly: int) -> bool:
-    """Whether row i of mat is poly(x) x^i for every i."""
-    w = mat.words
-    shifted = w[:-1] << np.uint64(1)
-    shifted[:, 1:] |= w[:-1, :-1] >> np.uint64(63)
-    return mat.rows == 0 or (mat.row_int(0) == poly and np.array_equal(shifted, w[1:]))
-
-
-def _tap_xor(cols: np.ndarray, poly: int, rows: int) -> np.ndarray:
-    """Row i is the XOR of cols[i + s] over the taps s of poly, i < rows."""
-    acc = np.zeros((rows, cols.shape[1]), dtype=np.uint64)
-    while poly:
-        low = poly & -poly
-        s = low.bit_length() - 1
-        acc ^= cols[s:s + rows]
-        poly ^= low
-    return acc
+    g, q, u = code.g_poly, code._q, code._u_bytes[1]
+    if q.bit_length() - 1 != p.k or poly_mul(q, g) != code.p_poly:
+        raise ConstructionError("q g != p with deg q = k")
+    if poly_mul(u, g) & ((1 << (p.k + p.l)) - 1) != 1:
+        raise ConstructionError("u g != 1 mod x^K")
+    if any(_syndromes(code, g)):
+        raise ConstructionError("H g != 0")
+    if poly_mul(code.p_poly, poly_reciprocal(code.hstar_poly)) != (1 << p.n) | 1:
+        raise ConstructionError("p reciprocal(h*) != x^n + 1")
 
 
 # ---------------------------------------------------------------------------
@@ -575,6 +567,7 @@ def verify_distances(code: PbchCode) -> tuple[int, int]:
         rows = [code.hstar_poly << i for i in range(p.n - p.l)]
         d0 = _min_weight_using(rows, len(rows), p.n)
     if p.r:
-        rows = code.gen_message.row_ints() + code.gen_mask.row_ints()
+        rows = ([code.g_poly << i for i in range(p.k)]
+                + [code.p_poly << i for i in range(p.l)])
         d1 = _min_weight_using(rows, p.k, p.n)
     return d0, d1

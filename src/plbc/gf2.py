@@ -206,10 +206,6 @@ def _pack_rows(bits: np.ndarray) -> np.ndarray:
     return raw.view("<u8").astype(np.uint64)
 
 
-def words_to_int(words: np.ndarray) -> int:
-    return int.from_bytes(words.astype("<u8").tobytes(), "little")
-
-
 # ---------------------------------------------------------------------------
 # vectors and matrices
 # ---------------------------------------------------------------------------
@@ -330,9 +326,6 @@ class BitMatrix:
         raw = b"".join(v.to_bytes(nw * _WORD_BYTES, "little") for v in row_ints)
         words = np.frombuffer(raw, dtype="<u8").astype(np.uint64)
         return cls(len(row_ints), cols, words.reshape(len(row_ints), nw))
-
-    def row_int(self, i: int) -> int:
-        return words_to_int(self.words[i])
 
     def row_ints(self) -> list[int]:
         """All rows as ints (bit j = column j), from one byte copy."""

@@ -1,9 +1,17 @@
 import importlib
+import json
 import pkgutil
+import subprocess
+import sys
+from pathlib import Path
 
+import numpy as np
 import pytest
 
 import plbc
+from plbc.codec import message_inverse
+
+ROOT = Path(__file__).resolve().parents[1]
 
 SUBMODULES = sorted(
     info.name for info in pkgutil.iter_modules(plbc.__path__) if info.name != "__main__"
@@ -48,10 +56,38 @@ def test_benchmark_names_resolve(module, name):
 
 def test_benchmark_reads_packed_words():
     # the benchmark hashes a code's matrices and trial words as uint64 words
-    # and compares decoded words through numpy (values: tests/test_gf2.py)
-    code = plbc.construct_pbch(15, 7, 4)
-    assert code.field.primitive_poly == 0b10011
-    for mat in (code.gen_message, code.gen_mask, code.parity, code.msg_inverse):
-        assert mat.words.shape == (mat.rows, 1)
+    # and compares decoded words through numpy (values: tests/test_gf2.py);
+    # G1, G0 and T are built from g and p when first read
+    assert plbc.construct_pbch(15, 7, 4).field.primitive_poly == 0b10011
+    for n, k, l in ((15, 7, 4), (1023, 923, 20)):
+        code = plbc.construct_pbch(n, k, l)
+        assert not {"gen_message", "msg_inverse"} & set(vars(code))
+        for mat, rows in ((code.gen_message, k), (code.gen_mask, l),
+                          (code.parity, n - k - l), (code.msg_inverse, k)):
+            assert mat.words.dtype == np.uint64 and mat.words.flags.c_contiguous
+            assert mat.words.shape == (rows, -(-n // 64))
+        assert code.gen_message.row_ints() == [code.g_poly << i for i in range(k)]
+        assert code.gen_mask.row_ints() == [code.p_poly << i for i in range(l)]
+        assert code.msg_inverse == message_inverse(n, code.g_poly, code.p_poly)
     assert isinstance(plbc.BitVector.words, property)
     assert callable(plbc.BitVector.__array__)
+
+
+def _no_constant(name):
+    raise ValueError("not strict JSON: %s" % name)
+
+
+@pytest.mark.parametrize("trace", ["0", "1"])
+def test_benchmark_construct_smoke(trace):
+    # a short construct-n2047 run must end in a strict-JSON result line
+    # (no NaN), pass its checks and measure every metric of its layers
+    proc = subprocess.run(
+        [sys.executable, str(ROOT / "bench" / "run.py"), "--workload", "construct-n2047",
+         "--seed", "1", "--seconds", "1", "--trace", trace],
+        cwd=ROOT, capture_output=True, text=True, timeout=300,
+    )
+    assert proc.returncode == 0, proc.stderr
+    lines = proc.stdout.strip().splitlines()
+    assert not [ln for ln in lines if ln.startswith("not measured:")], proc.stdout
+    res = json.loads(lines[-1], parse_constant=_no_constant)
+    assert res["correct"] is True and res["failed"] == 0, proc.stderr

@@ -1,5 +1,11 @@
+import copy
 import dataclasses
 import itertools
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -55,6 +61,41 @@ def rref_message_inverse(gen_message, gen_mask):
     for row, col in zip(red.row_ints(), pivots):
         t_cols[col] = row >> n
     return BitMatrix.from_row_ints(t_cols, k).transpose()
+
+
+def _tap_xor(cols, poly, rows):
+    """Row i is the XOR of cols[i + s] over the taps s of poly, i < rows."""
+    acc = np.zeros((rows, cols.shape[1]), dtype=np.uint64)
+    while poly:
+        low = poly & -poly
+        s = low.bit_length() - 1
+        acc ^= cols[s:s + rows]
+        poly ^= low
+    return acc
+
+
+def check_matrix_identities(code, msg_inverse=None, parity=None):
+    """G1 T^T = I, G0 T^T = 0 and H [G1; G0]^T = 0, word by word.
+
+    T and H are the code's unless given.  Row i of G1 (G0) is g(x) x^i
+    (p(x) x^i), so row i of M G1^T is the XOR of M's columns i + s over the
+    taps s of g; the columns of T and H come from one transpose each (H is
+    empty when r = 0).  Raises AssertionError naming the first failure.
+    """
+    p = code.params
+    t = code.msg_inverse if msg_inverse is None else msg_inverse
+    h = code.parity if parity is None else parity
+    t_cols = t.transpose().words
+    h_cols = h.transpose().words
+    g1_t_xor_i = _tap_xor(t_cols, code.g_poly, p.k)
+    idx = np.arange(p.k)
+    g1_t_xor_i[idx, idx >> 6] ^= np.uint64(1) << (idx & 63).astype(np.uint64)
+    for what, bad in (("gen_message * msg_inverse^T != I", g1_t_xor_i),
+                      ("gen_mask * msg_inverse^T != 0", _tap_xor(t_cols, code.p_poly, p.l)),
+                      ("gen_message rows fail parity", _tap_xor(h_cols, code.g_poly, p.k)),
+                      ("gen_mask rows fail parity", _tap_xor(h_cols, code.p_poly, p.l))):
+        rows = np.flatnonzero(bad.any(axis=1))
+        assert not rows.size, "%s at row %d" % (what, rows[0])
 
 
 def parities(mat, v):
@@ -490,6 +531,7 @@ class TestConstructionProperties:
         if code is not None:
             assert mask_ok
             assert code.msg_inverse == rref_message_inverse(code.gen_message, code.gen_mask)
+            check_matrix_identities(code)
             rng = np.random.default_rng(seed)
             for _ in range(4):
                 w = BitVector.from_bits(rng.integers(0, 2, size=k))
@@ -524,10 +566,12 @@ class TestMessageInverse:
     def test_table2_candidates_match_reference(self, l):
         code = construct_pbch(1023, 923, l)
         assert code.msg_inverse == rref_message_inverse(code.gen_message, code.gen_mask)
+        check_matrix_identities(code)
 
     def test_n2047_matches_reference(self):
         code = construct_pbch(2047, 1937, 22)
         assert code.msg_inverse == rref_message_inverse(code.gen_message, code.gen_mask)
+        check_matrix_identities(code)
 
     def test_from_polynomials(self, code15):
         got = message_inverse(15, code15.g_poly, code15.p_poly)
@@ -546,21 +590,22 @@ def _flip(mat, i, j):
 
 
 class TestIdentityChecks:
-    """Any one wrong bit in the codec's matrices fails construction's checks."""
+    """Construction's polynomial checks refuse wrong polynomials, and the
+    word-level matrix check above catches any one wrong bit of T or H."""
 
     def test_constructed_codes_pass(self, code15, code15_t2, code1023_l20):
         for code in (code15, code15_t2, code1023_l20, construct_pbch(15, 7, 0),
                      construct_pbch(15, 7, 8)):
             _check_code_identities(code)
+            check_matrix_identities(code)
 
     @pytest.mark.parametrize("field", ["msg_inverse", "parity"])
     def test_every_single_bit_flip_n15(self, code15, field):
         mat = getattr(code15, field)
         for i in range(mat.rows):
             for j in range(mat.cols):
-                bad = dataclasses.replace(code15, **{field: _flip(mat, i, j)})
-                with pytest.raises(ConstructionError):
-                    _check_code_identities(bad)
+                with pytest.raises(AssertionError):
+                    check_matrix_identities(code15, **{field: _flip(mat, i, j)})
 
     def test_random_bit_flips_n1023(self, code1023_l20):
         rng = np.random.default_rng(41)
@@ -568,24 +613,85 @@ class TestIdentityChecks:
             mat = getattr(code1023_l20, field)
             for _ in range(5):
                 i, j = int(rng.integers(mat.rows)), int(rng.integers(mat.cols))
-                bad = dataclasses.replace(code1023_l20, **{field: _flip(mat, i, j)})
-                with pytest.raises(ConstructionError):
-                    _check_code_identities(bad)
+                with pytest.raises(AssertionError):
+                    check_matrix_identities(code1023_l20, **{field: _flip(mat, i, j)})
 
     def test_wrong_row_polynomial(self, code15):
         g, p = code15.g_poly, code15.p_poly
-        other_g = 0b11001  # the other primitive quartic
-        rows = BitMatrix.from_row_ints([other_g << i for i in range(7)], 15)
         for bad in (
-            # rows of another polynomial, with and without the field agreeing
-            dataclasses.replace(code15, gen_message=rows),
-            dataclasses.replace(code15, gen_message=rows, g_poly=other_g),
-            dataclasses.replace(code15, g_poly=other_g),
+            dataclasses.replace(code15, g_poly=0b11001),  # the other primitive quartic
+            # multiples of g, so only p reciprocal(h*) = x^n + 1 can catch these
             dataclasses.replace(code15, p_poly=p ^ g),
-            # still a multiple of g, so only G0 T^T = 0 can catch it
-            dataclasses.replace(code15, p_poly=p ^ (g << 1), gen_mask=BitMatrix.from_row_ints(
-                [(p ^ (g << 1)) << i for i in range(4)], 15)),
-            dataclasses.replace(code15, gen_mask=_flip(code15.gen_mask, 2, 9)),
+            dataclasses.replace(code15, p_poly=p ^ (g << 1)),
         ):
             with pytest.raises(ConstructionError):
                 _check_code_identities(bad)
+
+    def test_each_identity_catches_its_own_fault(self, code15):
+        # every fault below passes the other three identities
+        def with_attrs(**attrs):
+            bad = copy.copy(code15)
+            for name, value in attrs.items():
+                setattr(bad, name, value)
+            return bad
+
+        g = code15.g_poly
+        hstar8, p8 = masking_polys(15, 8, 5)  # a masking code that g divides
+        tap = g.bit_length() - 1
+        for bad, what in (
+            (with_attrs(_q=code15._q ^ 1), "q g != p"),
+            (dataclasses.replace(code15, p_poly=p8, hstar_poly=hstar8), "deg q = k"),
+            (with_attrs(_u_bytes=[0, code15._u_bytes[1] ^ 1 << 3]), "u g != 1"),
+            (dataclasses.replace(code15, parity=_flip(code15.parity, 1, tap)), "H g != 0"),
+            (dataclasses.replace(code15, p_poly=code15.p_poly ^ g), r"reciprocal\(h\*\)"),
+        ):
+            with pytest.raises(ConstructionError, match=what):
+                _check_code_identities(bad)
+
+    @pytest.mark.parametrize("field", ["g_poly", "p_poly", "hstar_poly"])
+    def test_every_polynomial_bit_flip_n15(self, code15, field):
+        poly = getattr(code15, field)
+        for b in range(poly.bit_length()):
+            bad = dataclasses.replace(code15, **{field: poly ^ 1 << b})
+            with pytest.raises(ConstructionError):
+                _check_code_identities(bad)
+
+
+def test_m16_construction_in_child_process():
+    # n = 65535 builds from its polynomials alone: no k x n matrix, a small
+    # peak RSS (2.9 GiB when G1 and T were built), and a working round trip
+    # with d0 - 1 stuck cells and t1 errors
+    script = """
+import json, resource
+import numpy as np
+from plbc import BitVector, DefectVector, construct_pbch, decode, encode, transmit
+
+n, k = 65535, 65503
+code = construct_pbch(n, k, 16)
+built = sorted({"gen_message", "msg_inverse"} & set(vars(code)))
+rng = np.random.default_rng(16)
+cells = rng.permutation(n)
+u, e = code.params.d0 - 1, code.params.t1
+w = BitVector.from_bits(rng.integers(0, 2, size=k))
+stuck = sorted(cells[:u].tolist())
+s = DefectVector.from_positions(n, stuck, rng.integers(0, 2, size=u).tolist())
+c, mres = encode(code, w, s)
+y = transmit(c, s, BitVector.from_indices(n, cells[u:u + e]))
+out = decode(code, y)
+print(json.dumps({
+    "built": built, "u": u, "e": e, "unmasked": mres.unmasked,
+    "status": out.status, "ok": out.w_hat == w,
+    "maxrss_mib": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024,
+}))
+"""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True,
+                          text=True, env=env, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    res = json.loads(proc.stdout.strip().splitlines()[-1])
+    assert res["built"] == []
+    assert (res["u"], res["e"]) == (2, 1)
+    assert res["unmasked"] == 0 and res["status"] == "corrected" and res["ok"]
+    assert res["maxrss_mib"] < 200, res

@@ -261,7 +261,7 @@ class TestRref:
             ints = [int(rng.integers(0, 1 << cols)) for _ in range(rows)]
             mat = BitMatrix.from_row_ints(ints, cols)
             red, pivots = rref(mat)
-            all_rows = ints + [red.row_int(i) for i in range(rows)]
+            all_rows = ints + red.row_ints()
             assert dense_rank(all_rows, cols) == dense_rank(ints, cols)
 
     def test_partial_pivot_columns(self):
