@@ -133,16 +133,13 @@ def minimal_polynomial(j: int, field: GF2m) -> int:
     return poly
 
 
-def bch_generator(n: int, delta: int, field: GF2m | None = None) -> int:
+def bch_generator(n: int, delta: int) -> int:
     """Generator polynomial of the BCH code of designed distance delta.
 
-    lcm of the minimal polynomials of alpha^1 .. alpha^(delta-1); delta = 1
-    gives the trivial generator 1 (the whole space).
+    lcm of the minimal polynomials of alpha^1 .. alpha^(delta-1) in
+    ``field_for_length(n)``; delta = 1 gives the generator 1 (the whole space).
     """
-    if field is None:
-        field = field_for_length(n)
-    elif field.n != n:
-        raise ValueError("field order does not match length")
+    field = field_for_length(n)
     _check_designed_distance(n, delta)
     table = coset_table(n)
     g = 1
@@ -151,7 +148,7 @@ def bch_generator(n: int, delta: int, field: GF2m | None = None) -> int:
     return g
 
 
-def bch_parity_check(n: int, delta: int, field: GF2m) -> BitMatrix:
+def bch_parity_check(n: int, delta: int) -> BitMatrix:
     """Parity-check matrix of the designed-distance-delta BCH code.
 
     One m-row block per coset led below delta in ``coset_table(n)``; the
@@ -164,8 +161,7 @@ def bch_parity_check(n: int, delta: int, field: GF2m) -> BitMatrix:
     count m * blocks equals deg g: no elimination is needed.  A short coset
     breaks both and is reported rather than padded over.
     """
-    if field.n != n:
-        raise ValueError("field order does not match length")
+    field = field_for_length(n)
     _check_designed_distance(n, delta)
     m = field.m
     table = coset_table(n)

@@ -145,40 +145,38 @@ class PbchCode:
     """A constructed partitioned BCH code with cached decoding tables.
 
     The code is its polynomials: g_poly generates C; hstar_poly and p_poly
-    are the masking code's (h*, p) from ``masking_polys``.  The parity check
-    H is stored because the decoder reads its rows.  The decoding and masking
-    tables are built once, from the fields, when the code is created; the
-    dense matrices G1, G0 and T are views built from g and p on first read.
+    are the masking code's (h*, p) from ``masking_polys``.  The field, H's
+    rows, G0's columns and the message-extraction tables are derived once,
+    from these fields, when the code is created; the dense matrices G1, G0,
+    H and T are views built on first read.
     """
 
     params: PlbcParams
-    field: GF2m
     g_poly: int
     p_poly: int
     hstar_poly: int
-    parity: BitMatrix
 
     def __post_init__(self):
         params, g = self.params, self.g_poly
-        self._mask_cols = self.gen_mask.column_ints()
+        n, l, m = params.n, params.l, params.m
+        self.field = field_for_length(n)
+        # column j of G0 (rows p << i) holds p's bits j, j-1, .., j-l+1 from bit 0
+        self._mask_cols, col, low = [], 0, (1 << l) - 1
+        for bit in reversed(format(self.p_poly, "0%db" % n)[-n:]):
+            col = (col << 1 | (bit == "1")) & low
+            self._mask_cols.append(col)
         # gen_message rows are g << i, so w * G1 is the product w(x) g(x)
         self._g_taps = [i for i in range(g.bit_length()) if (g >> i) & 1]
         # rows of H in blocks of m, block j giving S_(2j+1)
-        m = self.field.m
-        h_rows = self.parity.row_ints()
+        h_rows = bch_parity_check(n, params.d1 or 1).row_ints()
         self._h_blocks = [h_rows[j:j + m] for j in range(0, params.r, m)]
         # T c = ((c mod x^K) u mod x^K) mod q (see message_inverse), with u
         # times every byte value tabulated for a product by bytes of c
         self._q = poly_divmod(self.p_poly, g)[0]
-        u = _series_inverse(g, params.k + params.l)
+        u = _series_inverse(g, params.k + l)
         self._u_bytes = [0]
         for b in range(1, 256):
             self._u_bytes.append(self._u_bytes[b >> 1] << 1 ^ (u if b & 1 else 0))
-        # (kk * i) mod n, so a Chien locator term alpha^(log c + kk*i) is one
-        # lookup in the field's two-period exp table with no reduction
-        self._chien_pows = np.outer(
-            np.arange(params.t1 + 1, dtype=np.int64), np.arange(params.n, dtype=np.int64)
-        ) % params.n
 
     @cached_property
     def gen_message(self) -> BitMatrix:
@@ -193,13 +191,15 @@ class PbchCode:
             [self.p_poly << i for i in range(self.params.l)], self.params.n)
 
     @cached_property
+    def parity(self) -> BitMatrix:
+        """H, the r parity-check rows of ``bch_parity_check(n, d1)``."""
+        return BitMatrix.from_row_ints(
+            [row for block in self._h_blocks for row in block], self.params.n)
+
+    @cached_property
     def msg_inverse(self) -> BitMatrix:
         """T, the k x n message inverse (see ``message_inverse``)."""
         return message_inverse(self.params.n, self.g_poly, self.p_poly)
-
-    @property
-    def n(self) -> int:
-        return self.params.n
 
     def to_descriptor(self, include_matrices: bool = False) -> dict:
         """JSON-friendly description; polynomials as hex coefficient ints."""
@@ -243,7 +243,9 @@ def message_inverse(n: int, g: int, p: int) -> BitMatrix:
             t ^= q
         if (u >> (big_k - 1 - i)) & 1:
             t ^= xk
-    return BitMatrix.from_row_ints(cols + [0] * (n - big_k), k).transpose()
+    t_cols = BitMatrix.from_row_ints(cols + [0] * (n - big_k), k)
+    del cols  # the ints need not outlive their packed copy during transpose
+    return t_cols.transpose()
 
 
 def _series_inverse(g: int, big_k: int) -> int:
@@ -289,11 +291,9 @@ def construct_pbch(n: int, k: int, l: int) -> PbchCode:
     ``PlbcParams`` before any polynomial is made.
     """
     params = params_for(n, k, l)
-    field = field_for_length(n)
-    g = bch_generator(n, params.d1 if params.r else 1, field)
+    g = bch_generator(n, params.d1 or 1)
     hstar, p = masking_polys(n, params.l, params.d0)
-    parity = bch_parity_check(n, params.d1, field) if params.r else BitMatrix(0, n)
-    code = PbchCode(params, field, g, p, hstar, parity)
+    code = PbchCode(params, g, p, hstar)
     _check_code_identities(code)
     return code
 
@@ -471,20 +471,21 @@ def _berlekamp_massey(field: GF2m, syndromes) -> tuple[list[int], int]:
 
 
 def _chien_roots(code: PbchCode, sigma: list[int]) -> list[int]:
-    """Positions i with sigma(alpha^{-i}) = 0, via a full table sweep.
+    """Positions i with sigma(alpha^{-i}) = 0, via a full sweep over i.
 
+    Term kk at alpha^i is alpha^x, x = log sigma_kk + kk i, which folds to
+    (x & n) + (x >> m) < 2n for the two-period exp table as n = 2^m - 1.
     A degree-1 locator 1 + sigma_1 x has its one root at alpha^i = sigma_1.
     """
-    n = code.params.n
-    log = code.field.log
+    n, field = code.params.n, code.field
     if len(sigma) == 2:
-        return [log[sigma[1]]]
-    terms = [kk for kk in range(1, len(sigma)) if sigma[kk]]
+        return [field.log[sigma[1]]]
     acc = np.full(n, sigma[0], dtype=np.int64)
-    if terms:
-        logs = np.array([log[sigma[kk]] for kk in terms], dtype=np.int64)
-        vals = code.field.exp_np[logs[:, None] + code._chien_pows[terms]]
-        acc ^= np.bitwise_xor.reduce(vals, axis=0)
+    i = np.arange(n, dtype=np.int64)
+    for kk in range(1, len(sigma)):
+        if sigma[kk]:
+            x = field.log[sigma[kk]] + kk * i
+            acc ^= field.exp_np[(x & n) + (x >> field.m)]
     return ((n - np.flatnonzero(acc == 0)) % n).tolist()
 
 

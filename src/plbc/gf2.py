@@ -320,12 +320,14 @@ class BitMatrix:
 
     @classmethod
     def from_row_ints(cls, row_ints, cols: int) -> "BitMatrix":
+        """Rows from ints (bit j = column j), written one by one into words."""
         if any(v < 0 or v.bit_length() > cols for v in row_ints):
             raise ValueError("value does not fit in %d bits" % cols)
-        nw = _n_words(cols)
-        raw = b"".join(v.to_bytes(nw * _WORD_BYTES, "little") for v in row_ints)
-        words = np.frombuffer(raw, dtype="<u8").astype(np.uint64)
-        return cls(len(row_ints), cols, words.reshape(len(row_ints), nw))
+        out = cls(len(row_ints), cols)
+        nbytes = out.words.shape[1] * _WORD_BYTES
+        for i, v in enumerate(row_ints):
+            out.words[i] = np.frombuffer(v.to_bytes(nbytes, "little"), dtype="<u8")
+        return out
 
     def row_ints(self) -> list[int]:
         """All rows as ints (bit j = column j), from one byte copy."""

@@ -255,7 +255,7 @@ def test_criterion_07_bound_dominates_simulation(capsys, code15, code1023_l20):
         sigma = math.sqrt(rate * (1.0 - rate) / res.trials)
         ok &= rate - 3.0 * sigma <= bound
         lines.append(
-            f"n={code.n} eps={ch.epsilon:g} p={ch.p:g}: "
+            f"n={code.params.n} eps={ch.epsilon:g} p={ch.p:g}: "
             f"rate={rate:.5f} sigma={sigma:.2g} bound={bound:.5f}"
         )
     dt = time.monotonic() - t0

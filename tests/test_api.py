@@ -57,11 +57,11 @@ def test_benchmark_names_resolve(module, name):
 def test_benchmark_reads_packed_words():
     # the benchmark hashes a code's matrices and trial words as uint64 words
     # and compares decoded words through numpy (values: tests/test_gf2.py);
-    # G1, G0 and T are built from g and p when first read
+    # G1, G0, H and T are built from the code's polynomials when first read
     assert plbc.construct_pbch(15, 7, 4).field.primitive_poly == 0b10011
     for n, k, l in ((15, 7, 4), (1023, 923, 20)):
         code = plbc.construct_pbch(n, k, l)
-        assert not {"gen_message", "msg_inverse"} & set(vars(code))
+        assert not {"gen_message", "gen_mask", "parity", "msg_inverse"} & set(vars(code))
         for mat, rows in ((code.gen_message, k), (code.gen_mask, l),
                           (code.parity, n - k - l), (code.msg_inverse, k)):
             assert mat.words.dtype == np.uint64 and mat.words.flags.c_contiguous
@@ -91,3 +91,8 @@ def test_benchmark_construct_smoke(trace):
     assert not [ln for ln in lines if ln.startswith("not measured:")], proc.stdout
     res = json.loads(lines[-1], parse_constant=_no_constant)
     assert res["correct"] is True and res["failed"] == 0, proc.stderr
+    if trace == "1":
+        # construction and its bch stages stay visible to the tracer
+        for name in ("codec.construct_pbch_ms", "codec.check_identities_ms",
+                     "bch.bch_generator_ms", "bch.bch_parity_check_ms"):
+            assert res["metrics"][name]["value"] > 0, name

@@ -1,3 +1,5 @@
+import inspect
+
 import pytest
 
 from plbc.bch import (
@@ -91,6 +93,10 @@ class TestGenerator:
         degs = [poly_degree(bch_generator(1023, d)) for d in range(3, 22, 2)]
         assert degs == [10, 20, 30, 40, 50, 60, 70, 80, 90, 100]
 
+    def test_length_alone_fixes_the_field(self):
+        for fn in (bch_generator, bch_parity_check):
+            assert list(inspect.signature(fn).parameters) == ["n", "delta"]
+
     def test_delta_validation(self):
         with pytest.raises(ValueError):
             bch_generator(15, 4)
@@ -118,31 +124,27 @@ def syndrome_weight(h, c):
 
 class TestParityCheck:
     def test_shape_and_rank(self):
-        f = field_for_length(15)
-        h = bch_parity_check(15, 5, f)
+        h = bch_parity_check(15, 5)
         assert (h.rows, h.cols) == (8, 15)
         assert len(rref(h)[1]) == 8
 
     def test_annihilates_code(self):
-        f = field_for_length(15)
-        g = bch_generator(15, 5, f)
-        h = bch_parity_check(15, 5, f)
+        g = bch_generator(15, 5)
+        h = bch_parity_check(15, 5)
         for shift in range(15 - poly_degree(g)):
             c = BitVector.from_int(15, g << shift)
             assert syndrome_weight(h, c) == 0
 
     def test_flags_noncodeword(self):
-        f = field_for_length(15)
-        h = bch_parity_check(15, 5, f)
+        h = bch_parity_check(15, 5)
         assert syndrome_weight(h, BitVector.from_indices(15, [0])) > 0
 
     def test_short_coset_rejected(self):
         # delta = 7 at n = 63 pulls in the coset of 5 whose... all cosets of
         # 1..6 at n=63 are full; use n = 15, delta = 11: coset(5) has size 2,
         # so the row count cannot reach deg(g) in m-row blocks.
-        f = field_for_length(15)
         with pytest.raises(ConstructionError):
-            bch_parity_check(15, 11, f)
+            bch_parity_check(15, 11)
 
     def test_every_odd_delta_full_rank_or_short_coset(self):
         # the rows are m per distinct coset of the odd j < delta - 1; with no
@@ -150,7 +152,6 @@ class TestParityCheck:
         # the construction must refuse, naming the shortfall
         for m in range(2, 9):
             n = (1 << m) - 1
-            f = field_for_length(n)
             for delta in range(1, n + 1, 2):
                 cosets = []
                 for j in range(1, delta - 1, 2):
@@ -158,7 +159,7 @@ class TestParityCheck:
                     if c not in cosets:
                         cosets.append(c)
                 short = [c.members for c in cosets if len(c) != m]
-                deg = poly_degree(bch_generator(n, delta, f)) or 0
+                deg = poly_degree(bch_generator(n, delta)) or 0
                 if short:
                     want = (
                         "parity-check rows (%d) != generator degree (%d) at "
@@ -166,15 +167,14 @@ class TestParityCheck:
                         % (m * len(cosets), deg, n, delta, short)
                     )
                     with pytest.raises(ConstructionError) as exc:
-                        bch_parity_check(n, delta, f)
+                        bch_parity_check(n, delta)
                     assert str(exc.value) == want
                 else:
-                    h = bch_parity_check(n, delta, f)
+                    h = bch_parity_check(n, delta)
                     assert len(rref(h)[1]) == h.rows == deg == m * len(cosets)
 
     def test_delta_validation(self):
-        f = field_for_length(15)
         for delta in (0, 4, 17):
             with pytest.raises(ValueError):
-                bch_parity_check(15, delta, f)
+                bch_parity_check(15, delta)
 

@@ -5,6 +5,7 @@ import json
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -12,11 +13,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from plbc.bch import bch_parity_check
 from plbc.bounds import weight_distribution
 from plbc.channel import DefectVector, transmit
 from plbc.codec import (
+    PbchCode,
     PlbcParams,
     _check_code_identities,
+    _chien_roots,
     _decode_words,
     _min_weight_using,
     construct_pbch,
@@ -96,6 +100,14 @@ def check_matrix_identities(code, msg_inverse=None, parity=None):
                       ("gen_mask rows fail parity", _tap_xor(h_cols, code.p_poly, p.l))):
         rows = np.flatnonzero(bad.any(axis=1))
         assert not rows.size, "%s at row %d" % (what, rows[0])
+
+
+def check_single_copies(code):
+    """The codec's G0 columns and H rows equal the matrices they stand for."""
+    p = code.params
+    assert code._mask_cols == code.gen_mask.column_ints()
+    want = bch_parity_check(p.n, p.d1).row_ints() if p.r else []
+    assert code.parity.row_ints() == want
 
 
 def parities(mat, v):
@@ -209,6 +221,11 @@ class TestConstruction:
         assert code15.g_poly == 0b10011
         assert code15.p_poly == 0b111101011001
 
+    def test_four_init_fields(self):
+        init = [f.name for f in dataclasses.fields(PbchCode) if f.init]
+        assert init == ["params", "g_poly", "p_poly", "hstar_poly"]
+        assert not [f.name for f in dataclasses.fields(PbchCode) if not f.init]
+
     def test_matrix_shapes(self, code15):
         assert (code15.gen_message.rows, code15.gen_message.cols) == (7, 15)
         assert (code15.gen_mask.rows, code15.gen_mask.cols) == (4, 15)
@@ -230,7 +247,7 @@ class TestConstruction:
         # _syndromes reads the odd syndromes off H: row j*m + b must hold
         # bit b of alpha^((2j+1)i) at position i
         for code in (code15, code15_t2, code1023_l20, construct_pbch(63, 45, 12)):
-            n, m, t1 = code.n, code.field.m, code.params.t1
+            n, m, t1 = code.params.n, code.field.m, code.params.t1
             for j in range(t1):
                 vals = code.field.exp_np[(np.arange(n) * (2 * j + 1)) % n]
                 want = (vals >> np.arange(m)[:, None]) & 1
@@ -484,6 +501,20 @@ class TestDecode:
             fixed += z_weight > 0
         assert fixed >= 100
 
+    def test_chien_roots_degree_10_n16383(self):
+        # kk i reaches 10 n here, so every term's exponent must fold right
+        # for the sweep to find the ten positions the locator was built from
+        code = construct_pbch(16383, 16383 - 140, 0)
+        field = code.field
+        rng = np.random.default_rng(14)
+        for _ in range(3):
+            positions = sorted(rng.choice(16383, 10, replace=False).tolist())
+            sigma = [1]
+            for i in positions:  # times (1 + alpha^i x)
+                x = field.alpha_pow(i)
+                sigma = [a ^ field.mul(b, x) for a, b in zip(sigma + [0], [0] + sigma)]
+            assert sorted(_chien_roots(code, sigma)) == positions
+
     def test_r0_code_is_identity_decoder(self):
         code = construct_pbch(15, 7, 8)
         w = BitVector.from_int(7, 99)
@@ -532,6 +563,7 @@ class TestConstructionProperties:
             assert mask_ok
             assert code.msg_inverse == rref_message_inverse(code.gen_message, code.gen_mask)
             check_matrix_identities(code)
+            check_single_copies(code)
             rng = np.random.default_rng(seed)
             for _ in range(4):
                 w = BitVector.from_bits(rng.integers(0, 2, size=k))
@@ -567,11 +599,13 @@ class TestMessageInverse:
         code = construct_pbch(1023, 923, l)
         assert code.msg_inverse == rref_message_inverse(code.gen_message, code.gen_mask)
         check_matrix_identities(code)
+        check_single_copies(code)
 
     def test_n2047_matches_reference(self):
         code = construct_pbch(2047, 1937, 22)
         assert code.msg_inverse == rref_message_inverse(code.gen_message, code.gen_mask)
         check_matrix_identities(code)
+        check_single_copies(code)
 
     def test_from_polynomials(self, code15):
         got = message_inverse(15, code15.g_poly, code15.p_poly)
@@ -581,6 +615,18 @@ class TestMessageInverse:
     def test_g_must_divide_p(self, code15):
         with pytest.raises(ConstructionError):
             message_inverse(15, code15.g_poly, code15.p_poly ^ 1)
+
+    def test_peak_memory_n4095(self):
+        # T's column ints are freed once packed, before the transpose
+        # (4.62x T's words when they were held through it)
+        code = construct_pbch(4095, 3951, 24)
+        tracemalloc.start()
+        try:
+            t = message_inverse(4095, code.g_poly, code.p_poly)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 4 * t.words.nbytes, peak / t.words.nbytes
 
 
 def _flip(mat, i, j):
@@ -638,11 +684,13 @@ class TestIdentityChecks:
         g = code15.g_poly
         hstar8, p8 = masking_polys(15, 8, 5)  # a masking code that g divides
         tap = g.bit_length() - 1
+        h_blocks = [list(block) for block in code15._h_blocks]
+        h_blocks[0][1] ^= 1 << tap  # row 1 of H
         for bad, what in (
             (with_attrs(_q=code15._q ^ 1), "q g != p"),
             (dataclasses.replace(code15, p_poly=p8, hstar_poly=hstar8), "deg q = k"),
             (with_attrs(_u_bytes=[0, code15._u_bytes[1] ^ 1 << 3]), "u g != 1"),
-            (dataclasses.replace(code15, parity=_flip(code15.parity, 1, tap)), "H g != 0"),
+            (with_attrs(_h_blocks=h_blocks), "H g != 0"),
             (dataclasses.replace(code15, p_poly=code15.p_poly ^ g), r"reciprocal\(h\*\)"),
         ):
             with pytest.raises(ConstructionError, match=what):
@@ -658,31 +706,38 @@ class TestIdentityChecks:
 
 
 def test_m16_construction_in_child_process():
-    # n = 65535 builds from its polynomials alone: no k x n matrix, a small
-    # peak RSS (2.9 GiB when G1 and T were built), and a working round trip
-    # with d0 - 1 stuck cells and t1 errors
+    # n = 65535 builds from its polynomials alone: no matrix and no numpy
+    # table in the code, a small peak RSS (2.9 GiB when G1 and T were built),
+    # a small pickle (74.2 MiB at l = 160 with H twice and a (t1 + 1) x n
+    # Chien table), and a working round trip after unpickling, with d0 - 1
+    # stuck cells and t1 errors
     script = """
-import json, resource
+import json, pickle, resource
 import numpy as np
 from plbc import BitVector, DefectVector, construct_pbch, decode, encode, transmit
 
-n, k = 65535, 65503
-code = construct_pbch(n, k, 16)
-built = sorted({"gen_message", "msg_inverse"} & set(vars(code)))
-rng = np.random.default_rng(16)
-cells = rng.permutation(n)
-u, e = code.params.d0 - 1, code.params.t1
-w = BitVector.from_bits(rng.integers(0, 2, size=k))
-stuck = sorted(cells[:u].tolist())
-s = DefectVector.from_positions(n, stuck, rng.integers(0, 2, size=u).tolist())
-c, mres = encode(code, w, s)
-y = transmit(c, s, BitVector.from_indices(n, cells[u:u + e]))
-out = decode(code, y)
-print(json.dumps({
-    "built": built, "u": u, "e": e, "unmasked": mres.unmasked,
-    "status": out.status, "ok": out.w_hat == w,
-    "maxrss_mib": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024,
-}))
+n = 65535
+out = []
+for k, l in ((65503, 16), (63935, 160)):
+    blob = pickle.dumps(construct_pbch(n, k, l))
+    code = pickle.loads(blob)
+    held = sorted(name for name, v in vars(code).items()
+                  if name in ("gen_message", "gen_mask", "parity", "msg_inverse")
+                  or isinstance(v, np.ndarray))
+    rng = np.random.default_rng(16)
+    cells = rng.permutation(n)
+    u, e = code.params.d0 - 1, code.params.t1
+    w = BitVector.from_bits(rng.integers(0, 2, size=k))
+    stuck = sorted(cells[:u].tolist())
+    s = DefectVector.from_positions(n, stuck, rng.integers(0, 2, size=u).tolist())
+    c, mres = encode(code, w, s)
+    y = transmit(c, s, BitVector.from_indices(n, cells[u:u + e]))
+    res = decode(code, y)
+    out.append({"held": held, "pickle_mib": len(blob) / 2**20, "u": u, "e": e,
+                "unmasked": mres.unmasked, "status": res.status,
+                "ok": res.w_hat == w, "z_weight": res.z_weight})
+print(json.dumps({"codes": out,
+                  "maxrss_mib": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024}))
 """
     src = str(Path(__file__).resolve().parents[1] / "src")
     env = dict(os.environ)
@@ -691,7 +746,11 @@ print(json.dumps({
                           text=True, env=env, timeout=300)
     assert proc.returncode == 0, proc.stderr
     res = json.loads(proc.stdout.strip().splitlines()[-1])
-    assert res["built"] == []
-    assert (res["u"], res["e"]) == (2, 1)
-    assert res["unmasked"] == 0 and res["status"] == "corrected" and res["ok"]
+    small, big = res["codes"]
+    assert (small["u"], small["e"], big["u"], big["e"]) == (2, 1, 20, 90)
+    for code in (small, big):
+        assert code["held"] == []
+        assert code["unmasked"] == 0 and code["status"] == "corrected" and code["ok"]
+        assert code["z_weight"] == code["e"]
+    assert big["pickle_mib"] < 24, big
     assert res["maxrss_mib"] < 200, res

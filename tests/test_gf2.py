@@ -1,4 +1,5 @@
 import itertools
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -221,6 +222,23 @@ class TestBitMatrix:
             got = BitMatrix.from_row_ints(row_ints(dense), cols).transpose()
             assert (got.rows, got.cols) == (cols, rows)
             assert got.row_ints() == row_ints(dense.T)
+
+    def test_from_row_ints_writes_rows_in_place(self):
+        # each row goes straight into the word array: no joined byte string
+        # and no second copy of it (2.24x the words when there were); every
+        # third row is zero
+        rng = np.random.default_rng(11)
+        ints = [int.from_bytes(rng.bytes(500), "little") if i % 3 else 0
+                for i in range(1000)]
+        tracemalloc.start()
+        try:
+            mat = BitMatrix.from_row_ints(ints, 4000)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert mat.words.dtype == np.uint64 and mat.words.shape == (1000, 63)
+        assert mat.row_ints() == ints
+        assert peak < 1.5 * mat.words.nbytes, peak / mat.words.nbytes
 
     def test_from_row_ints_rejects_wide_rows(self):
         with pytest.raises(ValueError):
