@@ -15,7 +15,7 @@ from itertools import accumulate
 import numpy as np
 
 from .errors import ConstructionError
-from .gf2 import BitMatrix, GF2m, _pack_rows, poly_mul
+from .gf2 import BitMatrix, GF2m, _bits_to_int, poly_mul
 
 __all__ = [
     "CyclotomicCoset",
@@ -173,13 +173,9 @@ def bch_parity_check(n: int, delta: int) -> BitMatrix:
             "cosets shorter than m: %s"
             % (m * len(cosets), sum(map(len, cosets)), n, delta, short)
         )
-    if not cosets:
-        return BitMatrix(0, n)
     positions = np.arange(n, dtype=np.int64)
-    shifts = np.arange(m, dtype=np.uint16)[:, None]
-    blocks = []
+    rows = []
     for coset in cosets:
         vals = field.exp_np[(positions * coset.leader) % n].astype(np.uint16)
-        blocks.append(_pack_rows((vals >> shifts) & 1))
-    words = np.vstack(blocks)
-    return BitMatrix(len(words), n, words)
+        rows += [_bits_to_int(((vals >> b) & 1).astype(np.uint8)) for b in range(m)]
+    return BitMatrix(rows, n)

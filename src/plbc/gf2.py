@@ -8,9 +8,9 @@ Conventions used throughout the package:
   zero polynomial is 0 and its degree is ``None``.
 * Vectors over GF(2) are plain ints (bit i is entry i) wrapped with their
   length in ``BitVector``; the scalar codec computes on the ints directly.
-* Matrices over GF(2) are bit-packed into numpy uint64 words, least
-  significant bit first, so word-level XOR/AND/popcount do the heavy
-  lifting at n = 1023.
+* Matrices over GF(2) are tuples of row ints wrapped with their width in
+  ``BitMatrix``.  Only the numpy kernels (block transpose, span weights)
+  and ``.words`` pack rows into little-endian uint64 words.
 """
 
 from __future__ import annotations
@@ -198,12 +198,20 @@ def _bits_to_int(bits: np.ndarray) -> int:
     return int.from_bytes(np.packbits(bits, bitorder="little").tobytes(), "little")
 
 
-def _pack_rows(bits: np.ndarray) -> np.ndarray:
-    """Pack the 0/1 rows of a 2-D array into little-endian uint64 words."""
-    rows, cols = bits.shape
-    raw = np.zeros((rows, _n_words(cols) * _WORD_BYTES), dtype=np.uint8)
-    raw[:, : (cols + 7) >> 3] = np.packbits(bits, axis=1, bitorder="little")
-    return raw.view("<u8").astype(np.uint64)
+def _pack(ints, n: int) -> np.ndarray:
+    """Ints of at most n bits as the rows of a C-contiguous uint64 array of
+    little-endian words, each row written in place into one zeroed array."""
+    out = np.zeros((len(ints), _n_words(n)), dtype=np.uint64)
+    nbytes = out.shape[1] * _WORD_BYTES
+    for i, v in enumerate(ints):
+        out[i] = np.frombuffer(v.to_bytes(nbytes, "little"), dtype="<u8")
+    return out
+
+
+def _unpack(packed: np.ndarray) -> list[int]:
+    """The rows of a 2-D array of little-endian packed bits as ints."""
+    packed = packed.astype(packed.dtype.newbyteorder("<"), copy=False)
+    return [int.from_bytes(row.tobytes(), "little") for row in packed]
 
 
 # ---------------------------------------------------------------------------
@@ -302,70 +310,58 @@ _SWAP_MASKS = [
 ]
 
 
+def _transpose_words(words: np.ndarray, cols: int) -> np.ndarray:
+    """The packed transpose of a packed matrix with ``cols`` columns.
+
+    Masked swaps inside each 64 x 64 bit block of one zero-padded copy,
+    never a byte per bit, then block (i, j) moves to (j, i).
+    """
+    rows, cb = words.shape
+    rb = _n_words(rows)
+    a = np.zeros((rb * 64, cb), dtype=np.uint64)
+    a[:rows] = words
+    a = a.reshape(rb, 64, cb)
+    for j, mask in _SWAP_MASKS:
+        half = a.reshape(rb, 32 // j, 2, j, cb)
+        lo, hi = half[:, :, 0], half[:, :, 1]
+        t = ((lo >> np.uint64(j)) ^ hi) & mask
+        lo ^= t << np.uint64(j)
+        hi ^= t
+    return np.ascontiguousarray(a.transpose(2, 1, 0).reshape(cb * 64, rb)[:cols])
+
+
 class BitMatrix:
-    """GF(2) matrix with bit-packed rows (shape: rows x words)."""
+    """GF(2) matrix held as a tuple of row ints (bit j of row i is entry
+    (i, j)); ``words`` packs them on each read into a read-only C-contiguous
+    uint64 array of shape (rows, ceil(cols / 64)) for numpy callers."""
 
-    __slots__ = ("rows", "cols", "words")
+    __slots__ = ("rows", "cols", "_ints")
 
-    def __init__(self, rows: int, cols: int, words: np.ndarray | None = None):
-        if rows < 0 or cols < 0:
+    def __init__(self, row_ints, cols: int):
+        row_ints = tuple(row_ints)
+        if cols < 0:
             raise ValueError("dimensions must be nonnegative")
-        self.rows = rows
-        self.cols = cols
-        if words is None:
-            words = np.zeros((rows, _n_words(cols)), dtype=np.uint64)
-        elif words.shape != (rows, _n_words(cols)):
-            raise ValueError("word array shape mismatch")
-        self.words = words
+        if any(v < 0 or v.bit_length() > cols for v in row_ints):
+            raise ValueError("value does not fit in %d bits" % cols)
+        self.rows, self.cols, self._ints = len(row_ints), cols, row_ints
 
     @classmethod
     def from_row_ints(cls, row_ints, cols: int) -> "BitMatrix":
-        """Rows from ints (bit j = column j), written one by one into words."""
-        if any(v < 0 or v.bit_length() > cols for v in row_ints):
-            raise ValueError("value does not fit in %d bits" % cols)
-        out = cls(len(row_ints), cols)
-        nbytes = out.words.shape[1] * _WORD_BYTES
-        for i, v in enumerate(row_ints):
-            out.words[i] = np.frombuffer(v.to_bytes(nbytes, "little"), dtype="<u8")
-        return out
+        return cls(row_ints, cols)
+
+    @property
+    def words(self) -> np.ndarray:
+        words = _pack(self._ints, self.cols)
+        words.flags.writeable = False
+        return words
 
     def row_ints(self) -> list[int]:
-        """All rows as ints (bit j = column j), from one byte copy."""
-        raw = self.words.astype("<u8").tobytes()
-        step = _n_words(self.cols) * _WORD_BYTES
-        return [int.from_bytes(raw[i * step:(i + 1) * step], "little")
-                for i in range(self.rows)]
-
-    def transpose(self) -> "BitMatrix":
-        """The transpose, by masked swaps inside each 64 x 64 bit block.
-
-        Works on the packed words only (one zero-padded copy), never on a
-        byte per bit, then moves block (i, j) to (j, i).
-        """
-        rb, cb = _n_words(self.rows), _n_words(self.cols)
-        a = np.zeros((rb * 64, cb), dtype=np.uint64)
-        a[: self.rows] = self.words
-        a = a.reshape(rb, 64, cb)
-        for j, mask in _SWAP_MASKS:
-            half = a.reshape(rb, 32 // j, 2, j, cb)
-            lo, hi = half[:, :, 0], half[:, :, 1]
-            t = ((lo >> np.uint64(j)) ^ hi) & mask
-            lo ^= t << np.uint64(j)
-            hi ^= t
-        words = a.transpose(2, 1, 0).reshape(cb * 64, rb)[: self.cols]
-        return BitMatrix(self.cols, self.rows, np.ascontiguousarray(words))
-
-    def column_ints(self) -> list[int]:
-        """Columns as ints (bit i = row i); handy for small solves."""
-        return self.transpose().row_ints()
+        """All rows as ints (bit j = column j), in a new list."""
+        return list(self._ints)
 
     def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, BitMatrix)
-            and self.rows == other.rows
-            and self.cols == other.cols
-            and bool(np.array_equal(self.words, other.words))
-        )
+        return (isinstance(other, BitMatrix)
+                and (self.cols, self._ints) == (other.cols, other._ints))
 
     def __repr__(self) -> str:
         return "BitMatrix(%dx%d)" % (self.rows, self.cols)
@@ -417,7 +413,7 @@ def rref(mat: BitMatrix, n_pivot_cols: int | None = None) -> tuple[BitMatrix, li
         raise ValueError("pivot column count exceeds matrix width")
     rows = mat.row_ints()
     pivots = _eliminate(rows, n_pivot_cols)
-    return BitMatrix.from_row_ints(rows, mat.cols), pivots
+    return BitMatrix(rows, mat.cols), pivots
 
 
 def _solve_aug_rows(rows: list[int], width: int) -> int | None:
@@ -451,7 +447,7 @@ def _span_weight_counts(rows: list[int], n: int) -> list[int]:
     """
     def combos(half):
         out = np.zeros((1, _n_words(n)), dtype=np.uint64)
-        for row in BitMatrix.from_row_ints(half, n).words:
+        for row in _pack(half, n):
             out = np.concatenate((out, out ^ row))
         return out
 

@@ -38,6 +38,8 @@ def trial_rng(seed: int, index: int, stream: int = 0) -> np.random.Generator:
         raise ValueError("seed must fit in 64 bits")
     if not 0 <= index < 1 << 64:
         raise ValueError("trial index must fit in 64 bits")
+    if not 0 <= stream < 1 << 64:
+        raise ValueError("stream must fit in 64 bits")
     key = np.array([seed, stream], dtype=np.uint64)
     counter = np.array([0, 0, 0, index], dtype=np.uint64)
     return np.random.Generator(np.random.Philox(counter=counter, key=key))

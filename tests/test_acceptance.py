@@ -190,7 +190,8 @@ def test_criterion_05_exhaustive_guaranteed_region(capsys, code15):
 def test_criterion_06_masking_failure_oracle(capsys, code15):
     t0 = time.monotonic()
     eps, n = 0.3, 15
-    cols = code15.gen_mask.column_ints()
+    rows = code15.gen_mask.row_ints()
+    cols = [sum(((row >> j) & 1) << i for i, row in enumerate(rows)) for j in range(n)]
 
     # exact failure probability: sum over all defect-position patterns of
     # P(pattern) * #(stuck-value assignments with no consistent mask word)

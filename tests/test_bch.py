@@ -1,4 +1,5 @@
 import inspect
+import tracemalloc
 
 import pytest
 
@@ -11,7 +12,7 @@ from plbc.bch import (
     minimal_polynomial,
 )
 from plbc.errors import ConstructionError
-from plbc.gf2 import BitVector, poly_degree, poly_eval, poly_mul, rref
+from plbc.gf2 import GF2m, BitVector, poly_degree, poly_eval, poly_mul, rref
 
 
 class TestCosets:
@@ -177,4 +178,38 @@ class TestParityCheck:
         for delta in (0, 4, 17):
             with pytest.raises(ValueError):
                 bch_parity_check(15, delta)
+
+    @pytest.mark.parametrize("n,deltas", [
+        (15, (1, 3, 5)), (63, (1, 5, 9)), (1023, (1, 7, 21)),
+        (2047, (1, 23, 45)), (65535, (1, 5)),
+    ])
+    def test_rows_match_reference(self, n, deltas):
+        # m rows per coset leader j < delta, in order: row b holds bit b of
+        # alpha^(j i) at position i, read here off the exp table alone
+        field = GF2m(n.bit_length())
+        m = field.m
+        for delta in deltas:
+            want = []
+            for j in range(1, delta):
+                if j != min((j << s) % n for s in range(m)):
+                    continue
+                vals = [field.exp[(j * i) % n] for i in range(n)][::-1]
+                for b in range(m):
+                    want.append(int("".join("01"[(v >> b) & 1] for v in vals), 2))
+            h = bch_parity_check(n, delta)
+            assert (h.rows, h.cols) == (len(want), n)
+            assert h.row_ints() == want
+
+    def test_peak_memory_m16(self):
+        # H's 1440 rows at (65535, 181) take about 11.5 MiB as ints; they are
+        # built straight from each coset's bits, with no word array between
+        bch_parity_check(65535, 3)  # the shared field and coset table
+        tracemalloc.start()
+        try:
+            rows = bch_parity_check(65535, 181).row_ints()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(rows) == 1440
+        assert peak < 24 * 2**20, peak / 2**20
 

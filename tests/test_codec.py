@@ -33,7 +33,15 @@ from plbc.codec import (
     verify_distances,
 )
 from plbc.errors import ConstructionError
-from plbc.gf2 import BitMatrix, BitVector, poly_divmod, rref
+from plbc.gf2 import (
+    BitMatrix,
+    BitVector,
+    _pack,
+    _transpose_words,
+    _unpack,
+    poly_divmod,
+    rref,
+)
 
 CANDIDATE_FAMILY_1023 = [
     (0, 100, 0, 21),
@@ -64,7 +72,13 @@ def rref_message_inverse(gen_message, gen_mask):
     t_cols = [0] * n
     for row, col in zip(red.row_ints(), pivots):
         t_cols[col] = row >> n
-    return BitMatrix.from_row_ints(t_cols, k).transpose()
+    return BitMatrix(transpose_ints(t_cols, k), n)
+
+
+def transpose_ints(rows, cols):
+    """The columns, as ints, of the matrix with these rows, by the block
+    transpose kernel (checked against numpy in tests/test_gf2.py)."""
+    return _unpack(_transpose_words(_pack(rows, cols), cols))
 
 
 def _tap_xor(cols, poly, rows):
@@ -89,8 +103,8 @@ def check_matrix_identities(code, msg_inverse=None, parity=None):
     p = code.params
     t = code.msg_inverse if msg_inverse is None else msg_inverse
     h = code.parity if parity is None else parity
-    t_cols = t.transpose().words
-    h_cols = h.transpose().words
+    t_cols = _transpose_words(t.words, t.cols)
+    h_cols = _transpose_words(h.words, h.cols)
     g1_t_xor_i = _tap_xor(t_cols, code.g_poly, p.k)
     idx = np.arange(p.k)
     g1_t_xor_i[idx, idx >> 6] ^= np.uint64(1) << (idx & 63).astype(np.uint64)
@@ -105,7 +119,7 @@ def check_matrix_identities(code, msg_inverse=None, parity=None):
 def check_single_copies(code):
     """The codec's G0 columns and H rows equal the matrices they stand for."""
     p = code.params
-    assert code._mask_cols == code.gen_mask.column_ints()
+    assert code._mask_cols == transpose_ints(code.gen_mask.row_ints(), p.n)
     want = bch_parity_check(p.n, p.d1).row_ints() if p.r else []
     assert code.parity.row_ints() == want
 

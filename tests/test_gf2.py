@@ -8,8 +8,11 @@ from plbc.gf2 import (
     GF2m,
     BitMatrix,
     BitVector,
+    _pack,
     _solve_aug_rows,
     _span_weight_counts,
+    _transpose_words,
+    _unpack,
     poly_degree,
     poly_divmod,
     poly_eval,
@@ -213,15 +216,45 @@ class TestBitVector:
 
 class TestBitMatrix:
     def test_transpose(self):
-        t = BitMatrix.from_row_ints(row_ints([[1, 0, 1], [0, 1, 1]]), 3).transpose()
-        assert t.row_ints() == row_ints([[1, 0], [0, 1], [1, 1]])
+        words = _transpose_words(_pack(row_ints([[1, 0, 1], [0, 1, 1]]), 3), 3)
+        assert _unpack(words) == row_ints([[1, 0], [0, 1], [1, 1]])
         # shapes across and inside the 64 x 64 blocks, including empty ones
         rng = np.random.default_rng(7)
         for rows, cols in [(0, 5), (5, 0), (1, 1), (63, 65), (130, 64), (200, 1000)]:
             dense = rng.integers(0, 2, size=(rows, cols), dtype=np.uint8)
-            got = BitMatrix.from_row_ints(row_ints(dense), cols).transpose()
-            assert (got.rows, got.cols) == (cols, rows)
-            assert got.row_ints() == row_ints(dense.T)
+            words = _transpose_words(_pack(row_ints(dense), cols), cols)
+            assert words.dtype == np.uint64 and words.flags.c_contiguous
+            assert words.shape == (cols, (rows + 63) // 64)
+            assert _unpack(words) == row_ints(dense.T)
+
+    def test_holds_no_array(self):
+        mat = BitMatrix([0b101, 0b11], 3)
+        assert mat.__slots__ and not any(
+            isinstance(getattr(mat, name), np.ndarray) for name in mat.__slots__)
+        assert (mat.rows, mat.cols) == (2, 3)
+
+    def test_words_packed_on_read(self):
+        # read-only, and byte-equal to each row packed with int.to_bytes
+        rng = np.random.default_rng(5)
+        for rows, cols in [(0, 0), (0, 70), (3, 64), (4, 65), (2, 200)]:
+            ints = [int.from_bytes(rng.bytes(-(-cols // 8)), "little") % (1 << cols)
+                    for _ in range(rows)]
+            words = BitMatrix(ints, cols).words
+            assert words.dtype == np.uint64 and words.flags.c_contiguous
+            nbytes = 8 * ((cols + 63) // 64)
+            assert words.shape == (rows, nbytes // 8)
+            assert words.tobytes() == b"".join(v.to_bytes(nbytes, "little") for v in ints)
+            with pytest.raises(ValueError):
+                words[...] = 0
+
+    def test_row_ints_is_a_copy(self):
+        mat = BitMatrix([0b101, 0b11], 3)
+        rows = mat.row_ints()
+        rows[0] ^= 1
+        rows.append(0)
+        assert mat.row_ints() == [0b101, 0b11] and mat.rows == 2
+        assert mat == BitMatrix.from_row_ints([0b101, 0b11], 3)
+        assert mat != BitMatrix([0b100, 0b11], 3) and mat != BitMatrix([0b101, 0b11], 4)
 
     def test_from_row_ints_writes_rows_in_place(self):
         # each row goes straight into the word array: no joined byte string
@@ -317,7 +350,8 @@ def solve_by_aug_rows(a, b):
 
     Column j of ``a`` with b_j at bit a.rows is one augmented row.
     """
-    cols = a.column_ints()
+    rows = a.row_ints()
+    cols = [sum(((row >> j) & 1) << i for i, row in enumerate(rows)) for j in range(a.cols)]
     aug = [cols[j] | ((b.value >> j) & 1) << a.rows for j in range(a.cols)]
     x = _solve_aug_rows(aug, a.rows)
     return None if x is None else BitVector.from_int(a.rows, x)

@@ -67,6 +67,12 @@ class TestTrialRng:
         with pytest.raises(ValueError):
             trial_rng(1 << 64, 0)
 
+    def test_stream_bounds(self):
+        for stream in (-1, 1 << 64):
+            with pytest.raises(ValueError, match="stream must fit in 64 bits"):
+                trial_rng(1, 0, stream=stream)
+        trial_rng(1, 0, stream=(1 << 64) - 1)
+
 
 class TestRunTrials:
     def test_clean_channel_never_fails(self, code15):
@@ -105,6 +111,11 @@ class TestRunTrials:
     def test_threads_below_one_rejected(self, code15, threads):
         with pytest.raises(ValueError, match="threads must be positive"):
             run_trials(code15, ChannelParams(0.1, 0.01), 16, seed=1, threads=threads)
+
+    @pytest.mark.parametrize("stream", [-1, 1 << 64])
+    def test_stream_out_of_range_rejected(self, code15, stream):
+        with pytest.raises(ValueError, match="stream must fit in 64 bits"):
+            run_trials(code15, ChannelParams(0.1, 0.01), 16, seed=1, stream=stream)
 
     def test_seed_changes_counts(self, code15):
         ch = ChannelParams(0.2, 0.05)
