@@ -15,7 +15,7 @@ from itertools import accumulate
 import numpy as np
 
 from .errors import ConstructionError
-from .gf2 import BitMatrix, GF2m, _bits_to_int, poly_mul
+from .gf2 import BitMatrix, GF2m, _unpack, poly_mul
 
 __all__ = [
     "CyclotomicCoset",
@@ -174,8 +174,10 @@ def bch_parity_check(n: int, delta: int) -> BitMatrix:
             % (m * len(cosets), sum(map(len, cosets)), n, delta, short)
         )
     positions = np.arange(n, dtype=np.int64)
+    planes = np.arange(m, dtype=np.uint16)[:, None]
     rows = []
     for coset in cosets:
         vals = field.exp_np[(positions * coset.leader) % n].astype(np.uint16)
-        rows += [_bits_to_int(((vals >> b) & 1).astype(np.uint8)) for b in range(m)]
+        bits = (vals >> planes).astype(np.uint8) & 1
+        rows += _unpack(np.packbits(bits, axis=1, bitorder="little"))
     return BitMatrix(rows, n)
