@@ -27,11 +27,9 @@ from .bounds import (
     capacity_max,
     capacity_min,
     decoding_failure_bound,
-    log_binom,
     log_binom_tail,
     macwilliams_transform,
     masking_failure_bound,
-    prob_defects,
     weight_distribution,
 )
 from .channel import (
@@ -92,7 +90,6 @@ __all__ = [
     "encode",
     "enumerate_candidates",
     "field_for_length",
-    "log_binom",
     "log_binom_tail",
     "macwilliams_transform",
     "mask_defects_one_step",
@@ -101,7 +98,6 @@ __all__ = [
     "message_inverse",
     "minimal_polynomial",
     "params_for",
-    "prob_defects",
     "run_trials",
     "sample_defects",
     "sample_errors",

@@ -34,11 +34,9 @@ __all__ = [
     "capacity_max",
     "capacity_min",
     "decoding_failure_bound",
-    "log_binom",
     "log_binom_tail",
     "macwilliams_transform",
     "masking_failure_bound",
-    "prob_defects",
     "weight_distribution",
 ]
 
@@ -70,19 +68,10 @@ def capacity_max(ch: ChannelParams) -> float:
     return (1.0 - ch.epsilon) * (1.0 - binary_entropy(ch.p))
 
 
-def log_binom(n: int, k: int) -> float:
-    """log C(n, k); -inf outside the triangle."""
-    if k < 0 or k > n:
-        return _NEG_INF
-    return (
-        math.lgamma(n + 1) - math.lgamma(k + 1) - math.lgamma(n - k + 1)
-    )
-
-
 @functools.lru_cache(maxsize=8)
 def _log_factorials(n: int) -> np.ndarray:
-    """Read-only table of log i! for i = 0..n, so that log C(a, b) below n
-    is lf[a] - lf[b] - lf[a - b], the same value ``log_binom`` gives."""
+    """Read-only table of log i! for i = 0..n, so that log C(a, b) for
+    0 <= b <= a <= n is (lf[a] - lf[b]) - lf[a - b]."""
     lf = np.array([math.lgamma(i + 1) for i in range(n + 1)])
     lf.setflags(write=False)
     return lf
@@ -145,22 +134,9 @@ def log_binom_tail(n: int, p: float, t_lo: int) -> float:
     return float(_log_binom_tails(np.array([n]), p, np.array([t_lo]), lf)[0])
 
 
-def prob_defects(u: int, n: int, epsilon: float) -> float:
-    """P(exactly u stuck cells out of n) = C(n,u) eps^u (1-eps)^(n-u)."""
-    if not 0 <= u <= n:
-        raise ValueError("u must be in [0, n]")
-    if not 0.0 <= epsilon <= 1.0:
-        raise ValueError("epsilon must be in [0, 1]")
-    if epsilon == 0.0:
-        return 1.0 if u == 0 else 0.0
-    if epsilon == 1.0:
-        return 1.0 if u == n else 0.0
-    return math.exp(
-        log_binom(n, u) + u * math.log(epsilon) + (n - u) * math.log1p(-epsilon)
-    )
-
-
 def _log_defect_pmf(n: int, epsilon: float) -> np.ndarray:
+    """log P(U = u) for u = 0..n, U ~ Bin(n, epsilon) the number of stuck
+    cells: log C(n, u) + u log eps + (n - u) log(1 - eps)."""
     out = np.full(n + 1, _NEG_INF)
     if epsilon == 0.0:
         out[0] = 0.0
@@ -192,16 +168,16 @@ class WeightDistribution:
     """
 
     def __init__(self, n: int, counts, method: str):
-        counts = np.array(counts, dtype=float)
+        """``counts`` are exact ints or floats; logs are taken entry by entry."""
+        counts = list(counts)
         if len(counts) != n + 1:
             raise ValueError("counts must have length n + 1")
-        if counts[0] != 1.0:
+        if counts[0] != 1:
             raise ValueError("A_0 must be 1")
-        if np.any(counts < 0):
+        if any(c < 0 for c in counts):
             raise ValueError("counts must be nonnegative")
-        with np.errstate(divide="ignore"):
-            log_counts = np.log(counts)
-        self._fill(n, method, log_counts, counts)
+        log_counts = np.array([math.log(c) if c else _NEG_INF for c in counts])
+        self._fill(n, method, log_counts, _exact_floats(counts))
 
     @classmethod
     def _from_logs(cls, n: int, method: str, log_counts: np.ndarray, counts):
@@ -242,12 +218,6 @@ def _exact_floats(ints: list[int], shift: int = 0) -> np.ndarray:
         except OverflowError:
             out[i] = math.inf
     return out
-
-
-def _exact_wd(n: int, ints: list[int], method: str) -> WeightDistribution:
-    """Weight distribution from exact integer counts (logs of the integers)."""
-    log_counts = np.array([math.log(c) if c else _NEG_INF for c in ints])
-    return WeightDistribution._from_logs(n, method, log_counts, _exact_floats(ints))
 
 
 def _log_binom_row(n: int) -> np.ndarray:
@@ -307,14 +277,14 @@ def weight_distribution(n: int, l: int, d0: int, method: str) -> WeightDistribut
             raise ValueError("exact enumeration is limited to 2^24 codewords")
         hstar, _ = masking_polys(n, l, d0)
         rows = [hstar << i for i in range(n - l)]
-        return _exact_wd(n, _span_weight_counts(rows, n), method)
+        return WeightDistribution(n, _span_weight_counts(rows, n), method)
     if method == "macwilliams":
         if l > 24:
             raise ValueError("dual enumeration is limited to 2^24 codewords")
         _, p_poly = masking_polys(n, l, d0)
         rows = [p_poly << i for i in range(l)]
         counts = _macwilliams_ints(n, _span_weight_counts(rows, n))
-        return _exact_wd(n, counts, method)
+        return WeightDistribution(n, counts, method)
     raise ValueError("unknown weight distribution method %r" % method)
 
 
@@ -323,16 +293,23 @@ def macwilliams_transform(dual_wd: WeightDistribution) -> WeightDistribution:
 
     A_w = 2^(-dim) sum_j B_j K_w(j), with the binary Krawtchouk polynomials
     generated by their three-term recurrence in exact integer arithmetic.
-    Non-integral or negative outputs mean the input was not a valid dual
-    distribution and raise NumericError.
+    The dual counts are read as floats, so each must be at most 2^53, where
+    a float still holds every integer; a larger or non-finite count raises
+    NumericError.  Non-integral or negative outputs mean the input was not a
+    valid dual distribution and raise NumericError.
     """
     b_int = []
-    for c in dual_wd.counts:
+    for w, c in enumerate(dual_wd.counts):
+        if not c <= 2.0 ** 53:  # NaN and inf included
+            raise NumericError(
+                "dual weight count at weight %d is %r; a float does not hold "
+                "counts above 2^53 exactly" % (w, float(c)))
         r = round(float(c))
         if abs(c - r) > 1e-6:
             raise NumericError("dual weight counts must be integers, got %r" % c)
         b_int.append(int(r))
-    return _exact_wd(dual_wd.n, _macwilliams_ints(dual_wd.n, b_int), "macwilliams")
+    counts = _macwilliams_ints(dual_wd.n, b_int)
+    return WeightDistribution(dual_wd.n, counts, "macwilliams")
 
 
 def _macwilliams_ints(n: int, b_int: list[int]) -> list[int]:
@@ -407,12 +384,12 @@ def masking_failure_bound(u: int, wd: WeightDistribution) -> float:
 class BoundResult:
     """Decoding-failure bound split by masking outcome.
 
-    total = p_mask_and_fail + p_maskok_and_fail, reported unclamped;
-    ``total_clamped`` caps it at 1.  Each of the two u-sums is truncated
-    (see ``decoding_failure_bound``); ``u_tail_bound`` is the larger of the
-    two defect-count tails P(U > u) they leave out (0.0 when neither was
-    cut).  Each left-out part is at most its tail, so ``total`` can sit
-    below the full sum by up to twice ``u_tail_bound``.
+    total = p_mask_and_fail + p_maskok_and_fail, reported unclamped.  Each
+    of the two u-sums is truncated (see ``decoding_failure_bound``);
+    ``u_tail_bound`` is the larger of the two defect-count tails P(U > u)
+    they leave out (0.0 when neither was cut).  Each left-out part is at
+    most its tail, so ``total`` can sit below the full sum by up to twice
+    ``u_tail_bound``.
     """
 
     p_mask_and_fail: float
@@ -421,10 +398,6 @@ class BoundResult:
     regime: str
     u_tail_bound: float = 0.0
     aw_method: str | None = None
-
-    @property
-    def total_clamped(self) -> float:
-        return min(1.0, self.total)
 
 
 _TRUNC_REL = 1e-3

@@ -97,9 +97,6 @@ class DefectVector:
         """Number of stuck cells."""
         return self.mask.weight()
 
-    def positions(self) -> np.ndarray:
-        return self.mask.indices()
-
     def __eq__(self, other) -> bool:
         return (
             isinstance(other, DefectVector)

@@ -4,8 +4,7 @@ Conventions used throughout the package:
 
 * Field elements of GF(2^m) are plain ints in ``[0, 2^m)``; bit i is the
   coefficient of alpha^i in the polynomial basis.
-* Binary polynomials are plain ints; bit i is the coefficient of x^i.  The
-  zero polynomial is 0 and its degree is ``None``.
+* Binary polynomials are plain ints; bit i is the coefficient of x^i.
 * Vectors over GF(2) are plain ints (bit i is entry i) wrapped with their
   length in ``BitVector``; the scalar codec computes on the ints directly.
 * Matrices over GF(2) are tuples of row ints wrapped with their width in
@@ -24,7 +23,6 @@ __all__ = [
     "BitMatrix",
     "BitVector",
     "PRIMITIVE_POLYS",
-    "poly_degree",
     "poly_divmod",
     "poly_eval",
     "poly_mul",
@@ -56,15 +54,6 @@ PRIMITIVE_POLYS = {
 # ---------------------------------------------------------------------------
 # binary polynomials (plain ints)
 # ---------------------------------------------------------------------------
-
-def poly_degree(p: int) -> int | None:
-    """Degree of a binary polynomial, or None for the zero polynomial."""
-    if p < 0:
-        raise ValueError("polynomials are nonnegative ints")
-    if p == 0:
-        return None
-    return p.bit_length() - 1
-
 
 def poly_mul(a: int, b: int) -> int:
     """Product of two binary polynomials (carryless multiply)."""
@@ -119,7 +108,8 @@ def poly_eval(p: int, x: int, field: "GF2m") -> int:
 # ---------------------------------------------------------------------------
 
 class GF2m:
-    """GF(2^m) with exp/log tables over a fixed primitive polynomial.
+    """GF(2^m) with exp/log tables over the primitive polynomial
+    ``PRIMITIVE_POLYS[m]``, which the table build checks is primitive.
 
     Elements are ints in [0, 2^m).  Addition is XOR and is not wrapped in a
     method.  ``exp`` is doubled in length so products of two logs index it
@@ -127,13 +117,10 @@ class GF2m:
     array, so ``bch.field_for_length`` can hand out one instance per m.
     """
 
-    def __init__(self, m: int, primitive_poly: int | None = None):
+    def __init__(self, m: int):
         if not 2 <= m <= 16:
             raise ValueError("m must be in [2, 16]")
-        if primitive_poly is None:
-            primitive_poly = PRIMITIVE_POLYS[m]
-        if poly_degree(primitive_poly) != m:
-            raise ValueError("primitive polynomial degree must equal m")
+        primitive_poly = PRIMITIVE_POLYS[m]
         self.m = m
         self.order = 1 << m
         self.n = self.order - 1
@@ -167,12 +154,6 @@ class GF2m:
         if a == 0 or b == 0:
             return 0
         return self.exp[self.log[a] + self.log[b]]
-
-    def inv(self, a: int) -> int:
-        self._check(a)
-        if a == 0:
-            raise ZeroDivisionError("0 has no inverse in GF(2^%d)" % self.m)
-        return self.exp[self.n - self.log[a]]
 
     def alpha_pow(self, e: int) -> int:
         """alpha^e for any integer exponent."""
@@ -280,9 +261,6 @@ class BitVector:
         raw = np.frombuffer(self.value.to_bytes((self.n + 7) >> 3, "little"), np.uint8)
         return np.unpackbits(raw, count=self.n, bitorder="little")
 
-    def indices(self) -> np.ndarray:
-        return np.flatnonzero(self.bits())
-
     def __xor__(self, other: "BitVector") -> "BitVector":
         if self.n != other.n:
             raise ValueError("length mismatch")
@@ -344,10 +322,6 @@ class BitMatrix:
         if any(v < 0 or v.bit_length() > cols for v in row_ints):
             raise ValueError("value does not fit in %d bits" % cols)
         self.rows, self.cols, self._ints = len(row_ints), cols, row_ints
-
-    @classmethod
-    def from_row_ints(cls, row_ints, cols: int) -> "BitMatrix":
-        return cls(row_ints, cols)
 
     @property
     def words(self) -> np.ndarray:

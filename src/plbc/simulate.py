@@ -45,15 +45,13 @@ def trial_rng(seed: int, index: int, stream: int = 0) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(counter=counter, key=key))
 
 
-def wilson_interval(failures: int, trials: int, confidence: float = 0.95):
-    """Wilson score interval for a binomial proportion."""
+def wilson_interval(failures: int, trials: int):
+    """95% Wilson score interval for a binomial proportion."""
     if trials < 1:
         raise ValueError("trials must be positive")
     if not 0 <= failures <= trials:
         raise ValueError("failures must be in [0, trials]")
-    if not 0.0 < confidence < 1.0:
-        raise ValueError("confidence must be in (0, 1)")
-    z = NormalDist().inv_cdf(0.5 + confidence / 2.0)
+    z = NormalDist().inv_cdf(0.975)
     phat = failures / trials
     denom = 1.0 + z * z / trials
     center = (phat + z * z / (2.0 * trials)) / denom

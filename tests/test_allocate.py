@@ -5,7 +5,7 @@ from plbc.bch import bch_generator
 from plbc.channel import ChannelParams
 from plbc.codec import construct_pbch, params_for
 from plbc.errors import ConstructionError
-from plbc.gf2 import poly_degree, poly_divmod, poly_reciprocal
+from plbc.gf2 import poly_divmod, poly_reciprocal
 
 CANDIDATE_FAMILY_1023 = [
     (0, 100, 0, 21),
@@ -54,7 +54,7 @@ def buildable_by_polynomials(n, k, l):
     a, b = g, poly_reciprocal(hstar)
     while b:
         a, b = b, poly_divmod(a, b)[1]
-    return (poly_degree(g) or 0, poly_degree(hstar) or 0, a) == (r, l, 1)
+    return (g.bit_length() - 1, hstar.bit_length() - 1, a) == (r, l, 1)
 
 
 class TestExistence:

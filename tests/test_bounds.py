@@ -10,22 +10,20 @@ from scipy import stats
 from plbc import bounds
 from plbc.allocate import enumerate_candidates
 from plbc.bounds import (
-    BoundResult,
     WeightDistribution,
     binary_entropy,
     capacity_max,
     capacity_min,
     decoding_failure_bound,
-    log_binom,
     log_binom_tail,
     macwilliams_transform,
     masking_failure_bound,
-    prob_defects,
     weight_distribution,
 )
 from plbc.channel import ChannelParams
-from plbc.codec import params_for
+from plbc.codec import masking_polys, params_for
 from plbc.errors import ConstructionError, NumericError
+from plbc.gf2 import _span_weight_counts
 
 PRESET_CHANNELS = {
     1: (0.0, 4.0e-3),
@@ -74,26 +72,32 @@ class TestEntropyAndCapacity:
 
 
 class TestBinomials:
+    # P(U = u) as the bound reads it, from its log table _log_defect_pmf
     def test_prob_defects_trivial(self):
-        assert prob_defects(0, 100, 0.0) == 1.0
-        assert prob_defects(1, 2, 0.5) == pytest.approx(0.5, rel=1e-14)
+        assert np.exp(bounds._log_defect_pmf(100, 0.0)[0]) == 1.0
+        assert np.exp(bounds._log_defect_pmf(2, 0.5)[1]) == pytest.approx(0.5, rel=1e-14)
 
     def test_prob_defects_normalizes(self):
         for eps, _ in PRESET_CHANNELS.values():
-            total = sum(prob_defects(u, 1023, eps) for u in range(1024))
+            total = np.exp(bounds._log_defect_pmf(1023, eps)).sum()
             assert total == pytest.approx(1.0, abs=1e-10)
 
     def test_prob_defects_matches_scipy(self):
+        pmf = np.exp(bounds._log_defect_pmf(1023, 6e-3))
         for u in (0, 1, 5, 20, 100):
-            got = prob_defects(u, 1023, 6e-3)
-            assert got == pytest.approx(stats.binom.pmf(u, 1023, 6e-3), rel=1e-10)
+            assert pmf[u] == pytest.approx(stats.binom.pmf(u, 1023, 6e-3), rel=1e-10)
 
     def test_log_binom_exact(self):
+        # log C(n, k) as the bound takes it from the log-factorial table, and
+        # the scalar reference's log_binom below
         rng = np.random.default_rng(41)
         for _ in range(100):
             n = int(rng.integers(0, 400))
             k = int(rng.integers(0, n + 1)) if n else 0
-            assert log_binom(n, k) == pytest.approx(math.log(math.comb(n, k)), rel=1e-12)
+            lf = bounds._log_factorials(n)
+            want = math.log(math.comb(n, k))
+            assert (lf[n] - lf[k]) - lf[n - k] == pytest.approx(want, rel=1e-12)
+            assert log_binom(n, k) == pytest.approx(want, rel=1e-12)
         assert log_binom(5, 6) == -math.inf
         assert log_binom(5, -1) == -math.inf
 
@@ -189,6 +193,21 @@ class TestMacwilliamsTransform:
     def test_rejects_bad_size(self):
         bad = WeightDistribution(3, np.array([1.0, 1.0, 1.0, 0]), "exact-enumeration")
         with pytest.raises(NumericError):
+            macwilliams_transform(bad)
+
+    def test_back_to_the_dual(self):
+        # every count of the [63, 51] code is below 2^53
+        _, p = masking_polys(63, 12, 5)
+        dual = macwilliams_transform(weight_distribution(63, 12, 5, "macwilliams"))
+        assert dual.counts.tolist() == _span_weight_counts([p << i for i in range(12)], 63)
+
+    def test_rejects_counts_a_float_cannot_hold(self):
+        wd = weight_distribution(127, 14, 5, "macwilliams")
+        first = next(w for w, c in enumerate(wd.counts) if c > 2 ** 53)
+        with pytest.raises(NumericError, match=r"at weight %d is .*above 2\^53" % first):
+            macwilliams_transform(wd)
+        bad = WeightDistribution(3, [1, math.inf, 0, 0], "exact-enumeration")
+        with pytest.raises(NumericError, match="at weight 1 is inf"):
             macwilliams_transform(bad)
 
 
@@ -300,15 +319,18 @@ class TestDecodingFailureBound:
         with pytest.raises(ValueError):
             decoding_failure_bound(params, None, ChannelParams(4e-3, 2e-3))
 
-    def test_total_clamped(self):
-        res = BoundResult(0.8, 0.7, 1.5, "general")
-        assert res.total_clamped == 1.0
-
 
 # ---------------------------------------------------------------------------
 # scalar reference: the bound summed per u and per w with the documented
 # truncation, one logaddexp at a time; the numpy engine must agree with it
 # ---------------------------------------------------------------------------
+
+def log_binom(n, k):
+    """log C(n, k) from math.lgamma; -inf outside the triangle."""
+    if k < 0 or k > n:
+        return -math.inf
+    return math.lgamma(n + 1) - math.lgamma(k + 1) - math.lgamma(n - k + 1)
+
 
 def _lae(a, b):
     if a == -math.inf:

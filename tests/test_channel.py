@@ -39,7 +39,7 @@ class TestDefectVector:
         s = DefectVector.from_string(".01..0.")
         assert s.to_string() == ".01..0."
         assert s.u == 3
-        assert list(s.positions()) == [1, 2, 5]
+        assert s.mask == BitVector.from_indices(7, [1, 2, 5])
 
     def test_values_subset_of_mask(self):
         mask = BitVector.from_indices(8, [1, 3])

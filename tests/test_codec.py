@@ -67,7 +67,7 @@ def rref_message_inverse(gen_message, gen_mask):
     k, n = gen_message.rows, gen_message.cols
     rows = [row | 1 << (n + i) for i, row in enumerate(gen_message.row_ints())]
     rows += gen_mask.row_ints()
-    red, pivots = rref(BitMatrix.from_row_ints(rows, n + k), n_pivot_cols=n)
+    red, pivots = rref(BitMatrix(rows, n + k), n_pivot_cols=n)
     assert len(pivots) == len(rows)
     t_cols = [0] * n
     for row, col in zip(red.row_ints(), pivots):
@@ -255,7 +255,7 @@ class TestConstruction:
 
     def test_trivial_intersection(self, code15):
         stacked = code15.gen_message.row_ints() + code15.gen_mask.row_ints()
-        assert len(rref(BitMatrix.from_row_ints(stacked, 15))[1]) == 11
+        assert len(rref(BitMatrix(stacked, 15))[1]) == 11
 
     def test_parity_rows_are_odd_syndrome_bits(self, code15, code15_t2, code1023_l20):
         # _syndromes reads the odd syndromes off H: row j*m + b must hold
@@ -646,7 +646,7 @@ class TestMessageInverse:
 def _flip(mat, i, j):
     rows = mat.row_ints()
     rows[i] ^= 1 << j
-    return BitMatrix.from_row_ints(rows, mat.cols)
+    return BitMatrix(rows, mat.cols)
 
 
 class TestIdentityChecks:

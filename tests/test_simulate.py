@@ -41,8 +41,6 @@ class TestWilson:
             wilson_interval(5, 0)
         with pytest.raises(ValueError):
             wilson_interval(6, 5)
-        with pytest.raises(ValueError):
-            wilson_interval(1, 5, confidence=1.0)
 
 
 class TestTrialRng:
