@@ -27,9 +27,7 @@ from .bounds import (
     capacity_max,
     capacity_min,
     decoding_failure_bound,
-    log_binom_tail,
     macwilliams_transform,
-    masking_failure_bound,
     weight_distribution,
 )
 from .channel import (
@@ -90,10 +88,8 @@ __all__ = [
     "encode",
     "enumerate_candidates",
     "field_for_length",
-    "log_binom_tail",
     "macwilliams_transform",
     "mask_defects_one_step",
-    "masking_failure_bound",
     "masking_polys",
     "message_inverse",
     "minimal_polynomial",

@@ -1,14 +1,15 @@
 """Closed-form failure bounds and channel capacities.
 
-All probability accumulation runs in natural-log space with numpy: the
-bounds' log binomial coefficients come from one log-factorial table per
-length (``math.lgamma``, built once), sums are running ``np.logaddexp``
-accumulations, and binomial tails follow the term-ratio recurrence with an
-exact-in-double cutoff (terms more than 45 nats below the running sum with a
-decaying term ratio cannot move a float64 total).  Weight counts are held as
-logs, taken from exact integers or from a summed log-binomial row, and never
-pass through a float that could overflow, so every length the field
-supports (m <= 16, n up to 65535) works.
+The failure bound is evaluated in natural-log space as a few whole-array
+passes over the number of stuck cells u = 0..n.  Log binomials are
+compensated running sums of log term ratios; P(U = u) and each family of
+binomial tails are one array each, a tail family one running
+``np.logaddexp`` sum; the masking union bound is a closed form, or a sum
+over u <= l + 1 only; and each truncated u-sum is one accumulation and one
+search.  Weight counts are held as logs, taken from exact integers or from
+a summed log-binomial row, and never pass through a float that could
+overflow, so every length the field supports (m <= 16, n up to 65535)
+works.
 
 Weight distributions are memoised per (n, l, d0, method) in a bounded cache
 and their arrays are read-only, so every caller shares one copy.
@@ -34,19 +35,12 @@ __all__ = [
     "capacity_max",
     "capacity_min",
     "decoding_failure_bound",
-    "log_binom_tail",
     "macwilliams_transform",
-    "masking_failure_bound",
     "weight_distribution",
 ]
 
 _NEG_INF = float("-inf")
 _LN2 = math.log(2.0)
-_CHUNK = 32  # first window of u values, and of binomial tail terms
-# cap on (window of u) x (n + 1): the (u, w) masking terms and the (u, j)
-# tail terms of one window stay within a few such arrays of floats
-_MAX_CELLS = 1 << 18
-_MAX_TAIL_WIDTH = 1 << 12  # widest segment of binomial tail terms
 
 
 def binary_entropy(x: float) -> float:
@@ -77,76 +71,65 @@ def _log_factorials(n: int) -> np.ndarray:
     return lf
 
 
-def _log_binom_tails(
-    ns: np.ndarray, p: float, ts: np.ndarray, lf: np.ndarray
-) -> np.ndarray:
-    """log P(Bin(ns[i], p) >= ts[i]) for each i: ``log_binom_tail`` on arrays.
-
-    ``lf`` is a log-factorial table reaching max(ns).  Each tail starts at
-    its first term and follows the term-ratio recurrence, adding one term at
-    a time as the scalar definition does; it stops where that definition
-    stops (a ratio below 0.9 and a term 45 nats under the running sum) or at
-    the last term.  Terms are taken in segments that double in width up to
-    _MAX_TAIL_WIDTH, carrying each unfinished row's last term and sum over.
+def _sum_log_ratios(num: np.ndarray, den: np.ndarray) -> np.ndarray:
+    """0 then the running sums of log(num / den), each addition's rounding
+    error recovered exactly (TwoSum) and added back.  For log C(65535, w)
+    a plain running sum drifts by up to 5e-10 and differences of the
+    log-factorial table by up to 2e-10, each a relative error of C itself.
     """
-    ns = np.asarray(ns, dtype=np.int64)
-    ts = np.asarray(ts, dtype=np.int64)
-    out = np.where(ts <= 0, 0.0, _NEG_INF)
-    live = (ts > 0) & (ts <= ns)
-    if p == 1.0:
-        out[live] = 0.0
-    if p in (0.0, 1.0):
+    steps = np.log(num / den)
+    sums = np.cumsum(steps)
+    prev = np.concatenate(([0.0], sums[:-1]))
+    back = sums - prev
+    lost = (prev - (sums - back)) + (steps - back)
+    return np.concatenate(([0.0], sums + np.cumsum(lost)))
+
+
+def _log_tails(big_n: int, p: float, t: int) -> np.ndarray:
+    """log P(Bin(N, p) >= t) for N = 0..big_n.
+
+    The t-th success falls on one of trials t..N, so for N >= t the tail is
+    the running sum over N' = t-1..N-1 of p P(Bin(N', p) = t-1), with
+    log C(N', t-1) summed from the ratios N' / (N' - t + 1).
+    """
+    out = np.full(big_n + 1, 0.0 if t <= 0 else _NEG_INF)
+    if t <= 0 or t > big_n or p == 0.0:
         return out
-    rows = np.flatnonzero(live)
-    big_n, t = ns[rows], ts[rows]
-    log_binoms = (lf[big_n] - lf[t]) - lf[big_n - t]
-    cur = log_binoms + t * math.log(p) + (big_n - t) * math.log1p(-p)
-    out[rows] = cur  # rows with t = n have no further term
-    keep = t < big_n
-    rows, big_n, t, cur = rows[keep], big_n[keep], t[keep], cur[keep]
-    total = cur
-    odds = p / (1.0 - p)
-    width = _CHUNK
-    while rows.size:
-        j = t[:, None] + np.arange(1, width + 1)
-        inside = j <= big_n[:, None]
-        ratio = (big_n[:, None] - j + 1) / j * odds
-        steps = np.log(ratio, out=np.full(ratio.shape, _NEG_INF), where=inside)
-        cur_seg = np.cumsum(np.column_stack((cur, steps)), axis=1)[:, 1:]
-        tot_seg = np.logaddexp.accumulate(np.column_stack((total, cur_seg)), axis=1)[:, 1:]
-        stop = ((ratio < 0.9) & (cur_seg < tot_seg - 45.0)) | (j == big_n[:, None])
-        done = stop.any(axis=1)
-        out[rows[done]] = tot_seg[done, stop[done].argmax(axis=1)]
-        more = ~done
-        rows, big_n, t = rows[more], big_n[more], j[more, -1]
-        cur, total = cur_seg[more, -1], tot_seg[more, -1]
-        width = min(2 * width, _MAX_TAIL_WIDTH)
+    if p == 1.0:
+        out[t:] = 0.0
+        return out
+    k = np.arange(big_n - t + 1)  # N' - (t - 1)
+    log_pmf = _sum_log_ratios(t - 1 + k[1:], k[1:]) + (t * math.log(p) + k * math.log1p(-p))
+    out[t:] = np.logaddexp.accumulate(log_pmf)
     return out
 
 
-def log_binom_tail(n: int, p: float, t_lo: int) -> float:
-    """log of P(Binomial(n, p) >= t_lo); t_lo <= 0 gives log 1 = 0."""
-    if n < 0:
-        raise ValueError("n must be nonnegative")
-    if not 0.0 <= p <= 1.0:
-        raise ValueError("p must be in [0, 1]")
-    lf = _log_factorials(n)
-    return float(_log_binom_tails(np.array([n]), p, np.array([t_lo]), lf)[0])
+def _log_diagonal_tails(n: int, p: float, t1: int, d0: int) -> np.ndarray:
+    """log P(Bin(n - u, p) >= t1 + d0 - u) for u = d0..n.
+
+    N = n - u and tau = t1 + d0 - u fall together, and P(Bin(N-1, p) >= tau-1)
+    = P(Bin(N, p) >= tau) + (1-p) P(Bin(N-1, p) = tau-1): a running sum from
+    u = d0 over P(Bin(D + k, p) = k) for k = t1-1 down to 1, D = n - t1 - d0
+    (>= 0 for every split).  The tail is 1 once tau <= 0.
+    """
+    out = np.zeros(n - d0 + 1)
+    out[:t1] = _log_tails(n - d0, p, t1)[-1]
+    if t1 > 1 and 0.0 < p < 1.0:
+        big_d = n - t1 - d0
+        k = np.arange(1, t1)
+        log_q = (big_d + 1) * math.log1p(-p)
+        steps = _sum_log_ratios(big_d + k, k)[1:] + (k * math.log(p) + log_q)
+        out[:t1] = np.logaddexp.accumulate(np.concatenate((out[:1], steps[::-1])))
+    return out
 
 
-def _log_defect_pmf(n: int, epsilon: float) -> np.ndarray:
+def _log_defect_pmf(n: int, epsilon: float, log_binoms: np.ndarray) -> np.ndarray:
     """log P(U = u) for u = 0..n, U ~ Bin(n, epsilon) the number of stuck
-    cells: log C(n, u) + u log eps + (n - u) log(1 - eps)."""
-    out = np.full(n + 1, _NEG_INF)
-    if epsilon == 0.0:
-        out[0] = 0.0
-        return out
+    cells, for 0 < epsilon <= 1: log C(n, u) + u log eps + (n - u) log(1 - eps),
+    with log C(n, u) read from ``log_binoms``."""
     if epsilon == 1.0:
-        out[n] = 0.0
-        return out
-    lf = _log_factorials(n)
+        return np.append(np.full(n, _NEG_INF), 0.0)
     u = np.arange(n + 1)
-    log_binoms = (lf[n] - lf[u]) - lf[n - u]
     return log_binoms + u * math.log(epsilon) + (n - u) * math.log1p(-epsilon)
 
 
@@ -168,14 +151,16 @@ class WeightDistribution:
     """
 
     def __init__(self, n: int, counts, method: str):
-        """``counts`` are exact ints or floats; logs are taken entry by entry."""
+        """``counts`` are exact ints or floats; logs are taken entry by entry.
+        NaN is refused; inf is taken as a count beyond the float range, which
+        ``macwilliams_transform`` names."""
         counts = list(counts)
         if len(counts) != n + 1:
             raise ValueError("counts must have length n + 1")
         if counts[0] != 1:
             raise ValueError("A_0 must be 1")
-        if any(c < 0 for c in counts):
-            raise ValueError("counts must be nonnegative")
+        if not all(c >= 0 for c in counts):
+            raise ValueError("counts must be nonnegative and not NaN")
         log_counts = np.array([math.log(c) if c else _NEG_INF for c in counts])
         self._fill(n, method, log_counts, _exact_floats(counts))
 
@@ -221,14 +206,11 @@ def _exact_floats(ints: list[int], shift: int = 0) -> np.ndarray:
 
 
 def _log_binom_row(n: int) -> np.ndarray:
-    """log C(n, w) for w = 0..n, within about 1e-14 relative of exact.
-
-    Sums log((n - i + 1) / i) up to n/2 and mirrors; differences of the
-    log-factorial table lose up to 3e-12 relative at n = 65535.
-    """
+    """log C(n, w) for w = 0..n: sums log((n - i + 1) / i) up to n/2 and
+    mirrors."""
     half = n // 2
     i = np.arange(1, half + 1)
-    low = np.concatenate(([0.0], np.cumsum(np.log((n - i + 1) / i))))
+    low = _sum_log_ratios(n - i + 1, i)
     row = np.empty(n + 1)
     row[: half + 1] = low
     row[n - half:] = low[::-1]
@@ -348,36 +330,52 @@ def _macwilliams_ints(n: int, b_int: list[int]) -> list[int]:
 # failure bounds
 # ---------------------------------------------------------------------------
 
-def _log_masking_bounds(us: np.ndarray, wd: WeightDistribution) -> np.ndarray:
-    """log of the union bound on P(masking fails | U = u) for each u in us,
-    unclamped: one logaddexp reduction over w of
-    log A_w + log C(n-w, u-w) - log C(n, u)."""
-    top = int(us.max()) if len(us) else 0
-    ws = np.flatnonzero(wd.log_counts[1:top + 1] > _NEG_INF) + 1
-    if not ws.size:
-        return np.full(len(us), _NEG_INF)
+def _log_masking_sums(wd: WeightDistribution, top: int) -> np.ndarray:
+    """log x_u for u = 0..top, x_u = sum_w A_w C(n-w, u-w) / C(n, u) the
+    unclamped union bound on P(masking fails | U = u); -inf where no
+    weight w <= u has a count."""
     n = wd.n
     lf = _log_factorials(n)
-    u = us[:, None]
-    w = ws[None, :]
+    u = np.arange(top + 1)[:, None]
+    w = (np.flatnonzero(wd.log_counts[1:top + 1] > _NEG_INF) + 1)[None, :]
     inside = w <= u
     v = np.where(inside, u - w, 0)
     lcnu = (lf[n] - lf[u]) - lf[n - u]
     terms = wd.log_counts[w] + ((lf[n - w] - lf[v]) - lf[n - u]) - lcnu
     terms[~inside] = _NEG_INF
-    return np.logaddexp.reduce(terms, axis=1)
+    return np.logaddexp.reduce(terms, axis=1, initial=_NEG_INF)
 
 
-def masking_failure_bound(u: int, wd: WeightDistribution) -> float:
-    """Union bound on the two-step masking failure probability, clamped to 1.
+def _log_binomial_masking(n: int, l: int, d0: int) -> np.ndarray:
+    """log x_u for u = 0..n under 'binomial-approx' (A_w = C(n, w) 2^-l from
+    d0 on): C(n, w) C(n-w, u-w) / C(n, u) = C(u, w), so
+    x_u = 2^-l sum_{w >= d0} C(u, w) = 2^(u-l) P(Bin(u, 1/2) >= d0)."""
+    return (np.arange(n + 1) - l) * _LN2 + _log_tails(n, 0.5, d0)
 
-    P(masking fails | U = u) <= sum_w A_w C(n-w, u-w) / C(n, u); counts
-    below the masking distance are zero so the sum effectively starts at d0.
+
+def _log_masking_bound(params: PlbcParams, wd: WeightDistribution) -> np.ndarray:
+    """log min(1, x_u) for u = 0..n, x_u as in ``_log_masking_sums``.
+
+    'binomial-approx' takes the closed form from (n, l, d0) of ``params``.
+    Counted distributions are summed over u <= l + 1 only, as the bound is 1
+    from there on: x_u = E_S[N(S)] - 1 over the u-sets S of cells, N(S) the
+    number of words of the [n, n-l] code supported in S.  Those words are
+    the kernel of G0 restricted to S, an l x u matrix, so N(S) >= 2^(u-l).
+    And x_u = sum_w A_w C(u, w) / C(n, w) does not fall with u for any
+    nonnegative counts, so x_(l+1) >= 1 is all the clamp needs; counts with
+    x_(l+1) below 1 by more than rounding are no code's: NumericError.
     """
-    if not 0 <= u <= wd.n:
-        raise ValueError("u must be in [0, n]")
-    lv = float(_log_masking_bounds(np.array([u]), wd)[0])
-    return min(1.0, math.exp(lv)) if lv != _NEG_INF else 0.0
+    n, l = params.n, params.l
+    if wd.method == "binomial-approx":
+        return np.minimum(0.0, _log_binomial_masking(n, l, params.d0))
+    top = l + 1  # <= n, as k >= 1
+    out = np.zeros(n + 1)
+    out[:top + 1] = np.minimum(0.0, _log_masking_sums(wd, top))
+    if top < n and out[top] < -1e-9:
+        raise NumericError(
+            "weight counts give a masking bound of %.6g below 1 at u = l + 1 = %d; "
+            "no [n, n-l] code has them" % (math.exp(out[top]), top))
+    return out
 
 
 @dataclass(frozen=True)
@@ -400,37 +398,22 @@ class BoundResult:
     aw_method: str | None = None
 
 
-_TRUNC_REL = 1e-3
-_LOG_TRUNC = math.log(_TRUNC_REL)
+_LOG_TRUNC = math.log(1e-3)
 
 
-def _truncated_log_sum(log_terms, start: int, log_more: np.ndarray):
-    """log of sum over u = start.. of exp(log_terms(u)), truncated.
+def _truncated_log_sum(log_terms: np.ndarray, start: int, log_more: np.ndarray):
+    """log of sum over u = start..n of exp(log_terms[u - start]), truncated.
 
     The sum stops at the first u where log P(U > u) (``log_more``) is below
-    log(_TRUNC_REL) plus the running log-sum.  ``log_terms`` maps an array
-    of u to their log terms; it is called on windows of u that double in
-    size up to _MAX_CELLS / (n + 1), the first reaching _CHUNK past the
-    first u with P(U > u) below _TRUNC_REL, where the earliest stop can
-    fall.  Returns the log-sum and the left-out P(U > u), 0.0 when the sum
-    was not cut.
+    log(1e-3) plus the running log-sum.  Returns the log-sum and the
+    left-out P(U > u), 0.0 when the sum was not cut.
     """
-    n = len(log_more) - 1
-    floor = int(np.argmax(log_more < _LOG_TRUNC))
-    most = max(1, _MAX_CELLS // (n + 1))
-    acc = np.array([_NEG_INF])
-    lo, size = start, min(max(start, floor) + _CHUNK - start, most)
-    while lo <= n:
-        us = np.arange(lo, min(lo + size, n + 1))
-        cum = np.logaddexp.accumulate(np.concatenate((acc, log_terms(us))))[1:]
-        hit = np.flatnonzero((cum > _NEG_INF) & (log_more[us] < cum + _LOG_TRUNC))
-        if hit.size:
-            i = hit[0]
-            return float(cum[i]), math.exp(log_more[us[i]])
-        acc = cum[-1:]
-        lo += size
-        size = min(2 * size, most)
-    return float(acc[0]), 0.0
+    cum = np.logaddexp.accumulate(log_terms)
+    hit = np.flatnonzero((cum > _NEG_INF) & (log_more[start:] < cum + _LOG_TRUNC))
+    if hit.size:
+        i = hit[0]
+        return float(cum[i]), math.exp(log_more[start + i])
+    return float(cum[-1]), 0.0
 
 
 def decoding_failure_bound(
@@ -444,19 +427,20 @@ def decoding_failure_bound(
     with radius t1; l = 0 reduces to BSC(p_tilde); the general case splits
     on the masking outcome, bounding P(mask fails | u) by the weight
     distribution union bound and the conditional error tails by binomials.
-    Each of the two u-sums is truncated once the remaining defect-tail mass
-    P(U > u) drops below 1e-3 of its running total.  ``u_tail_bound``
-    reports the larger of the two left-out tails; since each sum can lose
-    up to its own tail, the total can sit below the full sum by up to twice
-    that amount.
+    ``wd`` is the distribution of the masking code of ``params``, as
+    ``weight_distribution(n, l, d0, method)`` gives it.  Each of the two
+    u-sums is truncated once the remaining defect-tail mass P(U > u) drops
+    below 1e-3 of its running total.  ``u_tail_bound`` reports the larger
+    of the two left-out tails; since each sum can lose up to its own tail,
+    the total can sit below the full sum by up to twice that amount.
     """
     n, t1, d0 = params.n, params.t1, params.d0
     if ch.epsilon == 0.0:
-        total = math.exp(log_binom_tail(n, ch.p, t1 + 1))
+        total = math.exp(_log_tails(n, ch.p, t1 + 1)[n])
         return BoundResult(0.0, total, total, "epsilon-zero",
                            aw_method=wd.method if wd else None)
     if params.l == 0:
-        total = math.exp(log_binom_tail(n, ch.p_tilde, t1 + 1))
+        total = math.exp(_log_tails(n, ch.p_tilde, t1 + 1)[n])
         return BoundResult(0.0, total, total, "l-zero",
                            aw_method=wd.method if wd else None)
     if wd is None:
@@ -465,22 +449,20 @@ def decoding_failure_bound(
         raise ValueError("weight distribution length mismatch")
 
     lf = _log_factorials(n)
-    log_pmf = _log_defect_pmf(n, ch.epsilon)
-    # log P(U > u) at index u: suffix log-sums of the pmf, -inf at u = n
-    log_more = np.append(np.logaddexp.accumulate(log_pmf[::-1])[-2::-1], _NEG_INF)
-
-    def mask_fails(us):
-        lm = np.minimum(0.0, _log_masking_bounds(us, wd))
-        return log_pmf[us] + lm + _log_binom_tails(n - us, ch.p, t1 + d0 - us, lf)
-
-    def mask_ok_fails(us):
-        t_lo = np.full(len(us), t1 + 1)
-        return log_pmf[us] + _log_binom_tails(n - us, ch.p, t_lo, lf)
-
-    term1, tail1 = _truncated_log_sum(mask_fails, max(d0, 1), log_more)
+    u = np.arange(n + 1)
+    log_pmf = _log_defect_pmf(n, ch.epsilon, _log_binom_row(n))
+    # log P(U > u) at index u, -inf at u = n.  It only places the 1e-3 cut
+    # and gives u_tail_bound, and it reads log C(n, u) off the log-factorial
+    # table, so that math.lgamma alone reproduces both.
+    table_pmf = _log_defect_pmf(n, ch.epsilon, (lf[n] - lf[u]) - lf[n - u])
+    log_more = np.append(np.logaddexp.accumulate(table_pmf[::-1])[-2::-1], _NEG_INF)
+    # index u: log P(Bin(n - u, p) >= t1 + 1), errors beyond the radius
+    mask_ok_fails = log_pmf + _log_tails(n, ch.p, t1 + 1)[::-1]
+    mask_fails = ((log_pmf + _log_masking_bound(params, wd))[d0:]
+                  + _log_diagonal_tails(n, ch.p, t1, d0))
+    term1, tail1 = _truncated_log_sum(mask_fails, d0, log_more)
     term2, tail2 = _truncated_log_sum(mask_ok_fails, 0, log_more)
-    p1 = math.exp(term1) if term1 != _NEG_INF else 0.0
-    p2 = math.exp(term2) if term2 != _NEG_INF else 0.0
+    p1, p2 = math.exp(term1), math.exp(term2)
     return BoundResult(
         p1, p2, p1 + p2, "general",
         u_tail_bound=max(tail1, tail2),

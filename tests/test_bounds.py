@@ -15,9 +15,7 @@ from plbc.bounds import (
     capacity_max,
     capacity_min,
     decoding_failure_bound,
-    log_binom_tail,
     macwilliams_transform,
-    masking_failure_bound,
     weight_distribution,
 )
 from plbc.channel import ChannelParams
@@ -71,25 +69,57 @@ class TestEntropyAndCapacity:
         assert capacity_max(ch) == 1.0
 
 
+def table_pmf(n, eps):
+    """log P(U = u) from the log-factorial table, as P(U > u) reads it."""
+    lf = bounds._log_factorials(n)
+    u = np.arange(n + 1)
+    return bounds._log_defect_pmf(n, eps, (lf[n] - lf[u]) - lf[n - u])
+
+
+def row_pmf(n, eps):
+    """log P(U = u) from the log-binomial row, as the summed terms read it."""
+    return bounds._log_defect_pmf(n, eps, bounds._log_binom_row(n))
+
+
+def exact_tail(n, p, t):
+    """P(Bin(n, p) >= t) correctly rounded from exact integers: a float p
+    is a / b with b a power of 2, and int / int rounds once."""
+    if t <= 0:
+        return 1.0
+    a, b = p.as_integer_ratio()
+    t = min(t, n + 1)
+    below, q = 0, (b - a) ** (n - t + 1)  # q = (b - a)^(n - k)
+    for k in range(t - 1, -1, -1):
+        below += math.comb(n, k) * a**k * q
+        q *= b - a
+    return (b**n - below) / b**n
+
+
 class TestBinomials:
-    # P(U = u) as the bound reads it, from its log table _log_defect_pmf
+    # P(U = u) as the bound reads it, from _log_defect_pmf with log C(n, u)
+    # from the log-factorial table and from the log-binomial row
     def test_prob_defects_trivial(self):
-        assert np.exp(bounds._log_defect_pmf(100, 0.0)[0]) == 1.0
-        assert np.exp(bounds._log_defect_pmf(2, 0.5)[1]) == pytest.approx(0.5, rel=1e-14)
+        for pmf in (table_pmf, row_pmf):
+            assert np.exp(pmf(100, 1.0)[100]) == 1.0
+            assert np.all(pmf(100, 1.0)[:100] == -np.inf)
+            assert np.exp(pmf(2, 0.5)[1]) == pytest.approx(0.5, rel=1e-14)
 
     def test_prob_defects_normalizes(self):
         for eps, _ in PRESET_CHANNELS.values():
-            total = np.exp(bounds._log_defect_pmf(1023, eps)).sum()
-            assert total == pytest.approx(1.0, abs=1e-10)
+            if eps:
+                for pmf in (table_pmf, row_pmf):
+                    assert np.exp(pmf(1023, eps)).sum() == pytest.approx(1.0, abs=1e-10)
 
     def test_prob_defects_matches_scipy(self):
-        pmf = np.exp(bounds._log_defect_pmf(1023, 6e-3))
-        for u in (0, 1, 5, 20, 100):
-            assert pmf[u] == pytest.approx(stats.binom.pmf(u, 1023, 6e-3), rel=1e-10)
+        for pmf in (table_pmf, row_pmf):
+            got = np.exp(pmf(1023, 6e-3))
+            for u in (0, 1, 5, 20, 100):
+                assert got[u] == pytest.approx(stats.binom.pmf(u, 1023, 6e-3), rel=1e-10)
 
     def test_log_binom_exact(self):
-        # log C(n, k) as the bound takes it from the log-factorial table, and
-        # the scalar reference's log_binom below
+        # log C(n, k) as P(U > u) takes it from the log-factorial table and
+        # the summed terms from the log-binomial row, and the scalar
+        # reference's log_binom and exact_log_binom below
         rng = np.random.default_rng(41)
         for _ in range(100):
             n = int(rng.integers(0, 400))
@@ -97,30 +127,67 @@ class TestBinomials:
             lf = bounds._log_factorials(n)
             want = math.log(math.comb(n, k))
             assert (lf[n] - lf[k]) - lf[n - k] == pytest.approx(want, rel=1e-12)
+            assert bounds._log_binom_row(n)[k] == pytest.approx(want, rel=1e-12)
             assert log_binom(n, k) == pytest.approx(want, rel=1e-12)
-        assert log_binom(5, 6) == -math.inf
-        assert log_binom(5, -1) == -math.inf
+            assert exact_log_binom(n, k) == want
+        for helper in (log_binom, exact_log_binom):
+            assert helper(5, 6) == -math.inf
+            assert helper(5, -1) == -math.inf
 
     def test_tail_against_scipy(self):
+        # every N = 0..n of the fixed-threshold family at once
         for n, p in [(30, 0.3), (1023, 0.002), (200, 0.5), (64, 0.9)]:
+            big_n = np.arange(n + 1)
             for t_lo in (0, 1, n // 4, n // 2, n, n + 1):
-                got = log_binom_tail(n, p, t_lo)
-                want = stats.binom.sf(t_lo - 1, n, p)
-                if want == 0.0:
-                    assert got == -math.inf or math.exp(got) < 1e-300
-                else:
-                    assert math.exp(got) == pytest.approx(want, rel=1e-9)
+                got = bounds._log_tails(n, p, t_lo)
+                want = stats.binom.sf(t_lo - 1, big_n, p)
+                zero = want == 0.0
+                assert np.all((got[zero] == -np.inf) | (np.exp(got[zero]) < 1e-300))
+                np.testing.assert_allclose(np.exp(got[~zero]), want[~zero], rtol=1e-9)
 
     def test_tail_edges(self):
-        assert log_binom_tail(10, 0.0, 1) == -math.inf
-        assert log_binom_tail(10, 1.0, 10) == 0.0
-        assert log_binom_tail(10, 0.3, 0) == 0.0
-        assert log_binom_tail(10, 0.3, -5) == 0.0
-        assert log_binom_tail(10, 0.3, 11) == -math.inf
+        tails = bounds._log_tails
+        assert tails(10, 0.0, 1)[10] == -math.inf
+        assert tails(10, 1.0, 10)[10] == 0.0
+        assert np.all(tails(10, 1.0, 10)[:10] == -math.inf)
+        assert tails(10, 0.3, 0)[10] == 0.0
+        assert tails(10, 0.3, -5)[10] == 0.0
+        assert tails(10, 0.3, 11)[10] == -math.inf
 
     def test_tail_monotone_in_threshold(self):
-        vals = [log_binom_tail(100, 0.1, t) for t in range(0, 101)]
+        vals = [bounds._log_tails(100, 0.1, t)[100] for t in range(0, 101)]
         assert all(a >= b for a, b in zip(vals, vals[1:]))
+
+    def test_diagonal_tails_against_scipy(self):
+        # P(Bin(n - u, p) >= t1 + d0 - u) for u = d0..n, edges p = 0 and 1
+        for n, k, l in [(15, 7, 4), (63, 39, 12), (1023, 923, 20), (1023, 1003, 10)]:
+            par = params_for(n, k, l)
+            u = np.arange(par.d0, n + 1)
+            for p in (0.0, 1e-3, 0.1, 0.5, 1.0):
+                got = bounds._log_diagonal_tails(n, p, par.t1, par.d0)
+                want = stats.binom.sf(par.t1 + par.d0 - u - 1, n - u, p)
+                zero = want == 0.0
+                assert np.all(got[zero] == -np.inf)
+                np.testing.assert_allclose(np.exp(got[~zero]), want[~zero], rtol=1e-9)
+
+    def test_tail_families_exact(self):
+        # both families on the table2 settings against exact rationals, at
+        # u up to the largest stopping index of table2 (u = 30)
+        n = 1023
+        for eps, p in PRESET_CHANNELS.values():
+            if not eps or not p:
+                continue
+            for l in (10, 20, 50, 100):
+                par = params_for(n, 923, l)
+                fixed = bounds._log_tails(n, p, par.t1 + 1)
+                diagonal = bounds._log_diagonal_tails(n, p, par.t1, par.d0)
+                for u in range(0, 31, 3):
+                    want = exact_tail(n - u, p, par.t1 + 1)
+                    assert math.exp(fixed[n - u]) == pytest.approx(want, rel=2e-13)
+                    if u >= par.d0:
+                        want = exact_tail(n - u, p, par.t1 + par.d0 - u)
+                        got = math.exp(diagonal[u - par.d0])
+                        assert got == pytest.approx(want, rel=2e-13)
 
 
 class TestWeightDistribution:
@@ -170,6 +237,13 @@ class TestWeightDistribution:
         with pytest.raises(ValueError):
             weight_distribution(15, 4, 3, "guesswork")
 
+    def test_rejects_nan_counts(self):
+        for counts in ([1, math.nan, 0, 0], np.array([1.0, 0.0, np.nan, 0.0])):
+            with pytest.raises(ValueError, match="NaN"):
+                WeightDistribution(3, counts, "exact-enumeration")
+        with pytest.raises(ValueError, match="nonnegative"):
+            WeightDistribution(3, [1, -1, 0, 0], "exact-enumeration")
+
 
 class TestMacwilliamsTransform:
     def test_even_weight_code(self):
@@ -211,30 +285,81 @@ class TestMacwilliamsTransform:
             macwilliams_transform(bad)
 
 
+def counted_splits(n):
+    """(l, d0, method) of every buildable masking code of length n with
+    l > 0, with its A_w counted: by enumeration where n - l <= 24, else
+    through the dual."""
+    m = n.bit_length()
+    out = []
+    for l in range(m, n, m):
+        d0 = 2 * (l // m) + 1
+        try:
+            masking_polys(n, l, d0)
+        except ConstructionError:
+            continue
+        out.append((l, d0, "exact-enumeration" if n - l <= 24 else "macwilliams"))
+    return out
+
+
 class TestMaskingFailureBound:
-    def test_below_distance_is_zero(self):
+    # log min(1, x_u) for u = 0..n at (15, 7, 4), the Hamming masking code
+    def bound15(self):
         wd = weight_distribution(15, 4, 3, "exact-enumeration")
-        assert masking_failure_bound(0, wd) == 0.0
-        assert masking_failure_bound(1, wd) == 0.0
-        assert masking_failure_bound(2, wd) == 0.0
+        return np.exp(bounds._log_masking_bound(params_for(15, 7, 4), wd))
+
+    def test_below_distance_is_zero(self):
+        assert np.all(self.bound15()[:3] == 0.0)
 
     def test_at_distance_single_term(self):
-        wd = weight_distribution(15, 4, 3, "exact-enumeration")
-        assert masking_failure_bound(3, wd) == pytest.approx(35 / math.comb(15, 3), rel=1e-12)
+        assert self.bound15()[3] == pytest.approx(35 / math.comb(15, 3), rel=1e-12)
 
     def test_u4_two_terms(self):
-        wd = weight_distribution(15, 4, 3, "exact-enumeration")
         want = (35 * 12 + 105) / math.comb(15, 4)
-        assert masking_failure_bound(4, wd) == pytest.approx(want, rel=1e-12)
+        assert self.bound15()[4] == pytest.approx(want, rel=1e-12)
 
     def test_clamped_at_one(self):
+        # from u = l + 1 = 5 on, without summing
+        bound = self.bound15()
+        assert np.all(bound <= 1.0)
+        assert np.all(bound[5:] == 1.0)
         wd = weight_distribution(15, 4, 3, "exact-enumeration")
-        assert masking_failure_bound(15, wd) == 1.0
+        assert np.all(bounds._log_masking_sums(wd, 15)[5:] >= 0.0)
 
     def test_domain(self):
-        wd = weight_distribution(15, 4, 3, "exact-enumeration")
-        with pytest.raises(ValueError):
-            masking_failure_bound(16, wd)
+        # the distribution must have the bound's length
+        wd = weight_distribution(31, 5, 3, "macwilliams")
+        with pytest.raises(ValueError, match="length mismatch"):
+            decoding_failure_bound(params_for(15, 7, 4), wd, ChannelParams(0.1, 0.01))
+
+    @pytest.mark.parametrize("n,l,d0", [(1023, 20, 5), (15, 4, 3)])
+    def test_binomial_closed_form_equals_per_w_sum(self, n, l, d0):
+        # the per-w sum in exact integers: x_u = sum_w A_w C(n-w, u-w) / C(n, u)
+        # with A_w = C(n, w) 2^-l from d0 on
+        num = [0] * (n + 1)
+        for w in range(d0, n + 1):
+            a, c = math.comb(n, w), 1  # c = C(n - w, u - w)
+            for u in range(w, n + 1):
+                num[u] += a * c
+                c = c * (n - u) // (u - w + 1)
+        want = [x / (math.comb(n, u) << l) for u, x in enumerate(num)]
+        closed = bounds._log_binomial_masking(n, l, d0)
+        assert np.all(closed[:d0] == -np.inf)
+        np.testing.assert_allclose(np.exp(closed[d0:]), want[d0:], rtol=1e-12)
+
+    @pytest.mark.parametrize("n", [15, 31])
+    def test_codes_reach_one_at_l_plus_1(self, n):
+        splits = counted_splits(n)
+        assert len(splits) == {15: 2, 31: 4}[n]
+        for l, d0, method in splits:
+            wd = weight_distribution(n, l, d0, method)
+            assert bounds._log_masking_sums(wd, l + 1)[l + 1] >= 0.0, (l, d0, method)
+
+    def test_non_code_counts_raise(self):
+        # a single word of weight 3: x_5 = C(5, 3) / C(15, 3) < 1, which no
+        # [15, 11] code gives
+        wd = WeightDistribution(15, [1, 0, 0, 1] + [0] * 12, "exact-enumeration")
+        with pytest.raises(NumericError, match="u = l \\+ 1 = 5"):
+            decoding_failure_bound(params_for(15, 7, 4), wd, ChannelParams(0.1, 0.01))
 
 
 def oracle_total(params, counts, eps, p):
@@ -322,7 +447,10 @@ class TestDecodingFailureBound:
 
 # ---------------------------------------------------------------------------
 # scalar reference: the bound summed per u and per w with the documented
-# truncation, one logaddexp at a time; the numpy engine must agree with it
+# truncation, one logaddexp at a time; the numpy engine must agree with it.
+# Every summed log C(a, b) is exact_log_binom; only P(U > u), which places
+# the cut and gives u_tail_bound, uses math.lgamma, so that u_tail_bound
+# compares with ==.
 # ---------------------------------------------------------------------------
 
 def log_binom(n, k):
@@ -330,6 +458,23 @@ def log_binom(n, k):
     if k < 0 or k > n:
         return -math.inf
     return math.lgamma(n + 1) - math.lgamma(k + 1) - math.lgamma(n - k + 1)
+
+
+@functools.cache
+def exact_log_binom_row(n):
+    """math.log of the exact C(n, k) for k = 0..n, from exact integers."""
+    out, c = [0.0], 1
+    for k in range(1, n + 1):
+        c = c * (n - k + 1) // k
+        out.append(math.log(c))
+    return out
+
+
+def exact_log_binom(n, k):
+    """math.log of the exact C(n, k); -inf outside the triangle."""
+    if k < 0 or k > n:
+        return -math.inf
+    return exact_log_binom_row(n)[k]
 
 
 def _lae(a, b):
@@ -349,7 +494,7 @@ def scalar_log_tail(n, p, t_lo):
         return -math.inf
     if p == 1.0:
         return 0.0
-    cur = log_binom(n, t_lo) + t_lo * math.log(p) + (n - t_lo) * math.log1p(-p)
+    cur = exact_log_binom(n, t_lo) + t_lo * math.log(p) + (n - t_lo) * math.log1p(-p)
     total = cur
     for t in range(t_lo + 1, n + 1):
         ratio = (n - t + 1) / t * (p / (1.0 - p))
@@ -364,20 +509,20 @@ def scalar_bound(params, wd, ch, truncate=True):
     """(p_mask_and_fail, p_maskok_and_fail, u_tail_bound) of the general regime."""
     n, t1, d0 = params.n, params.t1, params.d0
     le, l1e = math.log(ch.epsilon), math.log1p(-ch.epsilon)
-    log_pmf = [log_binom(n, u) + u * le + (n - u) * l1e for u in range(n + 1)]
+    log_pmf = [exact_log_binom(n, u) + u * le + (n - u) * l1e for u in range(n + 1)]
     log_more = [-math.inf] * (n + 1)  # log P(U > u)
     acc = -math.inf
     for u in range(n, 0, -1):
-        acc = _lae(acc, log_pmf[u])
+        acc = _lae(acc, log_binom(n, u) + u * le + (n - u) * l1e)
         log_more[u - 1] = acc
     log_counts = [float(x) for x in wd.log_counts]
 
     def masking(u):
-        lcnu = log_binom(n, u)
+        lcnu = exact_log_binom(n, u)
         acc = -math.inf
         for w in range(1, u + 1):
             if log_counts[w] > -math.inf:
-                acc = _lae(acc, log_counts[w] + log_binom(n - w, u - w) - lcnu)
+                acc = _lae(acc, log_counts[w] + exact_log_binom(n - w, u - w) - lcnu)
         return acc
 
     def run(us, term):
@@ -458,17 +603,18 @@ class TestAgainstScalarReference:
         assert_matches_scalar(decoding_failure_bound(params, wd, ch), params, wd, ch)
 
     def test_masking_bound_matches_scalar(self):
+        params = params_for(1023, 923, 20)
         wd = weight_distribution(1023, 20, 5, "binomial-approx")
+        got = np.exp(bounds._log_masking_bound(params, wd))
         lw = [float(x) for x in wd.log_counts]
         for u in (0, 4, 5, 6, 20, 100, 1023):
             acc = -math.inf
             for w in range(1, u + 1):
                 if lw[w] > -math.inf:
-                    term = lw[w] + log_binom(1023 - w, u - w) - log_binom(1023, u)
+                    term = lw[w] + exact_log_binom(1023 - w, u - w) - exact_log_binom(1023, u)
                     acc = _lae(acc, term)
             want = min(1.0, math.exp(acc)) if acc > -math.inf else 0.0
-            got = masking_failure_bound(u, wd)
-            assert got == pytest.approx(want, rel=1e-12, abs=1e-300)
+            assert got[u] == pytest.approx(want, rel=1e-12, abs=1e-300)
 
 
 class TestTruncationTail:
@@ -484,22 +630,13 @@ class TestTruncationTail:
         assert res.u_tail_bound < gap <= 2 * res.u_tail_bound
 
 
-def exact_log_binoms(n):
-    """math.log of C(n, w) for w = 0..n from exact integers."""
-    out, c = [0.0], 1
-    for w in range(1, n + 1):
-        c = c * (n - w + 1) // w
-        out.append(math.log(c))
-    return np.array(out)
-
-
 class TestLargeLengths:
     @pytest.mark.parametrize("n", [2047, 4095, 65535])
     def test_binomial_log_counts(self, n):
         # l = m is left out: there ln C(n, n-1) - m ln 2 = ln(n/(n+1)) ~ -1/n,
         # which no float evaluation holds to 1e-12 relative
         m = n.bit_length()
-        exact = exact_log_binoms(n)
+        exact = np.array(exact_log_binom_row(n))
         for l in (2 * m, 5 * m):
             d0 = 2 * (l // m) + 1
             wd = weight_distribution(n, l, d0, "binomial-approx")
@@ -509,6 +646,10 @@ class TestLargeLengths:
             assert np.all(np.isfinite(lc[d0:]))
             want = exact[d0:] - l * math.log(2)
             assert np.all(np.abs(lc[d0:] - want) <= 1e-12 * np.abs(want))
+        # log C(n, w) itself, which P(U = u) also reads, within 5e-11 (about
+        # math.log's own error on the exact integers): a plain running sum
+        # drifts by 5e-10 at n = 65535 and the log-factorial table by 2e-10
+        assert np.max(np.abs(bounds._log_binom_row(n) - exact)) <= 5e-11
 
     def test_counts_exact_where_finite(self):
         wd = weight_distribution(2047, 22, 5, "binomial-approx")

@@ -1,4 +1,5 @@
 import json
+import time
 
 import pytest
 
@@ -553,6 +554,22 @@ class TestBound:
         row = out.strip().splitlines()[2].split(",")
         assert row[7] == "none"
         assert float(row[8]) == 0.0 and float(row[10]) > 0
+
+    def test_m16_general_rows_within_budget(self, capsys):
+        # the whole bound is a few array passes over u = 0..65535; about
+        # 0.05 s on a 2-core host, so 5 s leaves room for slow hosts
+        t0 = time.perf_counter()
+        rc, out, err = run_cli(
+            capsys, "bound", "--n", "65535", "--k", "65503", "--l", "16",
+            "--epsilon", "0.3", "--p", "0.1",
+        )
+        elapsed = time.perf_counter() - t0
+        assert rc == 0, err
+        rows = [line.split(",") for line in out.strip().splitlines()[2:]]
+        assert len(rows) == 1
+        # only the general regime has a weight distribution and a masking term
+        assert rows[0][7] == "binomial-approx" and float(rows[0][8]) > 0
+        assert elapsed < 5.0
 
     def test_totals_equal_allocate(self, capsys):
         rc, out, err = run_cli(capsys, "bound", "--preset", "table2", "--format", "json")
