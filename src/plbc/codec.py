@@ -331,27 +331,32 @@ def _check_code_identities(code: PbchCode) -> None:
 # masking and encoding
 # ---------------------------------------------------------------------------
 
-def _mask_system(code: PbchCode, w: BitVector, s: DefectVector) -> tuple[int, list[int]]:
-    """Message part w(x) g(x) as an int, and the masking system's rows.
+def _encode_ints(
+    code: PbchCode, w: int, stuck: list[int], values: int, two_step: bool
+) -> tuple[int, int, int, int]:
+    """Int core of encoding: codeword c, masking vector d, unmasked, step.
 
-    Row j of the system is G0's column at the j-th stuck cell (ascending
-    index) with the mismatch between w(x) g(x) and the stuck value there
-    as its right-hand side at bit l.
+    ``stuck`` lists the stuck cells in ascending order and ``values`` holds
+    their stuck values (its other bits are ignored).  Row j of the masking
+    system is G0's column at the j-th stuck cell with the mismatch between
+    w(x) g(x) and the stuck value there as its right-hand side at bit l;
+    ``_solve_mask`` picks d, and c = w(x) g(x) + d(x) p(x).
     """
-    l = code.params.l
-    w_int = w.value
-    c1 = 0
+    n, l = code.params.n, code.params.l
+    c = 0
     for i in code._g_taps:
-        c1 ^= w_int << i
-    mismatch = c1 ^ s.values.value
-    aug = []
-    stuck = s.mask.value
-    while stuck:
-        low = stuck & -stuck
-        j = low.bit_length() - 1
-        aug.append(code._mask_cols[j] | ((mismatch >> j) & 1) << l)
-        stuck ^= low
-    return c1, aug
+        c ^= w << i
+    # bytes, so that reading the bit at each stuck cell costs O(1), not O(n)
+    mismatch = (c ^ values).to_bytes((n + 7) >> 3, "little")
+    cols = code._mask_cols
+    aug = [cols[j] | (mismatch[j >> 3] >> (j & 7) & 1) << l for j in stuck]
+    d, unmasked, step = _solve_mask(code, aug, two_step)
+    rest = d
+    while rest:
+        low = rest & -rest
+        c ^= code.p_poly << (low.bit_length() - 1)
+        rest ^= low
+    return c, d, unmasked, step
 
 
 def _solve_mask(code: PbchCode, aug: list[int], two_step: bool) -> tuple[int, int, int]:
@@ -387,8 +392,8 @@ def _residual_weight(d: int, aug: list[int], l: int) -> int:
 def mask_defects_one_step(code: PbchCode, w: BitVector, s: DefectVector) -> MaskResult:
     """Baseline single-step masking: solve only the first min(d0-1, u) cells."""
     _check_encode_args(code, w, s)
-    _, aug = _mask_system(code, w, s)
-    d, unmasked, step = _solve_mask(code, aug, two_step=False)
+    _, d, unmasked, step = _encode_ints(code, w.value, _stuck_cells(s), s.values.value,
+                                        two_step=False)
     return MaskResult(BitVector(code.params.l, d), unmasked, step)
 
 
@@ -399,16 +404,16 @@ def _check_encode_args(code: PbchCode, w: BitVector, s: DefectVector) -> None:
         raise ValueError("defect vector length must be n=%d" % code.params.n)
 
 
+def _stuck_cells(s: DefectVector) -> list[int]:
+    """The stuck cells in ascending order, in one pass over the unpacked mask."""
+    return np.flatnonzero(s.mask.bits()).tolist()
+
+
 def encode(code: PbchCode, w: BitVector, s: DefectVector) -> tuple[BitVector, MaskResult]:
     """Encode w given known defects s; returns the codeword and mask choice."""
     _check_encode_args(code, w, s)
-    c, aug = _mask_system(code, w, s)
-    d, unmasked, step = _solve_mask(code, aug, two_step=True)
-    rest = d
-    while rest:
-        low = rest & -rest
-        c ^= code.p_poly << (low.bit_length() - 1)
-        rest ^= low
+    c, d, unmasked, step = _encode_ints(code, w.value, _stuck_cells(s), s.values.value,
+                                        two_step=True)
     return (
         BitVector(code.params.n, c),
         MaskResult(BitVector(code.params.l, d), unmasked, step),

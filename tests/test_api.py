@@ -77,12 +77,12 @@ def _no_constant(name):
     raise ValueError("not strict JSON: %s" % name)
 
 
-@pytest.mark.parametrize("trace", ["0", "1"])
-def test_benchmark_construct_smoke(trace):
-    # a short construct-n2047 run must end in a strict-JSON result line
-    # (no NaN), pass its checks and measure every metric of its layers
+def _bench_smoke(workload, trace):
+    """A one-second benchmark run: it must exit 0, measure every metric of
+    its layers and end in a strict-JSON result line (no NaN) whose checks
+    passed with no failed operation.  Returns that result."""
     proc = subprocess.run(
-        [sys.executable, str(ROOT / "bench" / "run.py"), "--workload", "construct-n2047",
+        [sys.executable, str(ROOT / "bench" / "run.py"), "--workload", workload,
          "--seed", "1", "--seconds", "1", "--trace", trace],
         cwd=ROOT, capture_output=True, text=True, timeout=300,
     )
@@ -91,8 +91,24 @@ def test_benchmark_construct_smoke(trace):
     assert not [ln for ln in lines if ln.startswith("not measured:")], proc.stdout
     res = json.loads(lines[-1], parse_constant=_no_constant)
     assert res["correct"] is True and res["failed"] == 0, proc.stderr
+    return res
+
+
+@pytest.mark.parametrize("trace", ["0", "1"])
+def test_benchmark_construct_smoke(trace):
+    res = _bench_smoke("construct-n2047", trace)
     if trace == "1":
         # construction and its bch stages stay visible to the tracer
         for name in ("codec.construct_pbch_ms", "codec.check_identities_ms",
                      "bch.bch_generator_ms", "bch.bch_parity_check_ms"):
+            assert res["metrics"][name]["value"] > 0, name
+
+
+@pytest.mark.parametrize("trace", ["0", "1"])
+def test_benchmark_sim_n15_smoke(trace):
+    res = _bench_smoke("sim-n15", trace)
+    if trace == "1":
+        # run_trials, and the decoder on the words above t1, stay visible
+        for name in ("simulate.self_us_per_trial", "simulate.trials",
+                     "codec.decode_words_us"):
             assert res["metrics"][name]["value"] > 0, name

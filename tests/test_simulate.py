@@ -1,16 +1,27 @@
+from statistics import NormalDist
+
 import numpy as np
 import pytest
 
+from plbc import construct_pbch, simulate
 from plbc.channel import ChannelParams, sample_defects, sample_errors, transmit
 from plbc.codec import decode, encode
-from plbc.gf2 import BitVector
+from plbc.gf2 import BitVector, _bits_to_int
 from plbc.simulate import (
+    _RAW_BYTES,
+    _Z_975,
     BLOCK_TRIALS,
+    _block_counts,
+    _draws,
+    _layout,
+    _raw_words,
     _worker_count,
     run_trials,
     trial_rng,
     wilson_interval,
 )
+
+TOP = (1 << 64) - 1
 
 
 class TestWilson:
@@ -35,6 +46,10 @@ class TestWilson:
         for fails, trials in [(1, 10), (7, 50), (99, 100), (0, 5)]:
             lo, hi = wilson_interval(fails, trials)
             assert lo <= fails / trials <= hi
+
+    def test_z_literal(self):
+        # the interval reads z as a literal rather than importing statistics
+        assert _Z_975 == NormalDist().inv_cdf(0.975)
 
     def test_validation(self):
         with pytest.raises(ValueError):
@@ -70,6 +85,138 @@ class TestTrialRng:
             with pytest.raises(ValueError, match="stream must fit in 64 bits"):
                 trial_rng(1, 0, stream=stream)
         trial_rng(1, 0, stream=(1 << 64) - 1)
+
+
+def _numpy_draws(n, k, ch, seed, t, stream):
+    """A trial's message, stuck cells, stuck values and errors as ints,
+    drawn by the numpy calls that ``_draws`` stands in for."""
+    rng = trial_rng(seed, t, stream)
+    w = _bits_to_int(rng.integers(0, 2, size=k, dtype=np.uint8))
+    s = sample_defects(n, ch, rng)
+    z = sample_errors(s, ch, rng)
+    return w, s.mask.value, s.values.value, z.value
+
+
+def _block_draws(n, k, ch, seed, start, stop, stream):
+    raw = _raw_words(seed, stream, start, stop, _layout(n, k)[3])
+    arrays = _draws(raw, n, k, ch)
+    return [tuple(_bits_to_int(a[i]) for a in arrays) for i in range(stop - start)]
+
+
+class TestDraws:
+    """The raw-word map gives what the numpy calls draw, bit for bit."""
+
+    CHANNELS = [ChannelParams(0.3, 0.1), ChannelParams(0.5, 0.5), ChannelParams(0.0, 0.0),
+                ChannelParams(1.0, 1.0), ChannelParams(0.0, 1.0), ChannelParams(1.0, 0.0)]
+    # (seed, first trial, stream): a plain key, the top seed with a trial
+    # index near the top of the counter, and a third stream
+    KEYS = [(5, 0, 0), (TOP, TOP - 2, 3), (11, 12345, 7)]
+
+    @pytest.mark.parametrize("n", range(12, 20))
+    @pytest.mark.parametrize("k", range(1, 9))
+    def test_every_residue(self, n, k):
+        # k in 1..4 leaves a half-word over from the message draw and 5..8
+        # does not; n covers each residue mod 4 with both parities of n/4
+        for ch in self.CHANNELS:
+            for seed, t, stream in self.KEYS:
+                assert _block_draws(n, k, ch, seed, t, t + 2, stream) == [
+                    _numpy_draws(n, k, ch, seed, tt, stream) for tt in (t, t + 1)]
+
+    @pytest.mark.parametrize("n,k", [(15, 7), (15, 5), (31, 11), (63, 45), (127, 64),
+                                     (1023, 923), (3, 1)])
+    def test_code_lengths(self, n, k):
+        for ch in self.CHANNELS[:3]:
+            for seed, t, stream in self.KEYS:
+                assert _block_draws(n, k, ch, seed, t, t + 3, stream) == [
+                    _numpy_draws(n, k, ch, seed, tt, stream) for tt in range(t, t + 3)]
+
+    def test_layout_widths(self):
+        assert _layout(15, 7)[3] == 33
+        assert _layout(1023, 923)[3] == 2290
+
+    def test_threshold_hit_exactly(self):
+        # a probability equal to one of the trial's own uniforms: the cell
+        # with that uniform is not stuck (u < epsilon is strict)
+        n, k, seed = 15, 7, 3
+        raw = _raw_words(seed, 0, 0, 1, _layout(n, k)[3])
+        msg_words = _layout(n, k)[0]
+        for cell in (0, 6, 14):
+            x = float(raw[0, msg_words + cell] >> np.uint64(11)) * 2.0 ** -53
+            ch = ChannelParams(x, x)
+            got = tuple(_bits_to_int(a[0]) for a in _draws(raw, n, k, ch))
+            assert got == _numpy_draws(n, k, ch, seed, 0, 0)
+            assert not got[1] >> cell & 1
+
+
+def _trial_outcome(code, ch, rng):
+    """Reference trial: (masking failed, message wrong) from the numpy
+    draws, encode, transmit and decode; draw order is message bits,
+    defects, errors."""
+    p = code.params
+    w = BitVector(p.k, _bits_to_int(rng.integers(0, 2, size=p.k, dtype=np.uint8)))
+    s = sample_defects(p.n, ch, rng)
+    c, mres = encode(code, w, s)
+    z = sample_errors(s, ch, rng)
+    return mres.unmasked > 0, decode(code, transmit(c, s, z)).w_hat != w
+
+
+def _reference_counts(code, ch, seed, stream, start, stop):
+    """(masking, decoding, joint) failures of trials start..stop-1, one
+    ``_trial_outcome`` each."""
+    mask = dec = joint = 0
+    for t in range(start, stop):
+        mf, df = _trial_outcome(code, ch, trial_rng(seed, t, stream))
+        mask += mf
+        dec += df
+        joint += mf and df
+    return mask, dec, joint
+
+
+class TestBlockCounts:
+    """A block's counts equal the reference per-trial loop."""
+
+    @pytest.mark.parametrize("nkl", [(15, 7, 4), (15, 3, 4), (15, 7, 0), (15, 11, 0),
+                                     (15, 11, 4)])
+    @pytest.mark.parametrize("eps,p", [(0.1, 0.02), (0.3, 0.0), (0.3, 0.1), (0.0, 0.2),
+                                       (1.0, 0.0), (0.0, 1.0)])
+    def test_small_codes(self, nkl, eps, p):
+        # (15, 3, 4) corrects two errors and reports detected failures;
+        # (15, 7, 0) and (15, 11, 0) have no masking part, (15, 11, 4) no
+        # error correction
+        code = construct_pbch(*nkl)
+        ch = ChannelParams(eps, p)
+        for seed, start, stream in ((5, 0, 0), (TOP, TOP - 299, 3)):
+            assert _block_counts(code, ch, seed, stream, start, start + 300) == \
+                _reference_counts(code, ch, seed, stream, start, start + 300)
+
+    def test_decoder_called_through_module_globals(self, code15_t2, monkeypatch):
+        # the block looks the decoder up in plbc.simulate, so a wrapper put
+        # there sees every call; it runs only on read words more than t1
+        # flips from the codeword, and (15, 3, 4) reports detected failures
+        statuses = []
+
+        def spy(code, y):
+            res = decode_words(code, y)
+            statuses.append(res[1])
+            return res
+
+        decode_words = simulate._decode_words
+        monkeypatch.setattr(simulate, "_decode_words", spy)
+        ch = ChannelParams(0.3, 0.1)
+        counts = _block_counts(code15_t2, ch, 5, 0, 0, 300)
+        assert counts == _reference_counts(code15_t2, ch, 5, 0, 0, 300)
+        assert 0 < counts[2] < min(counts[0], counts[1])
+        assert counts[1] <= len(statuses) < 300
+        assert {"detected_failure", "corrected"} <= set(statuses)
+
+    def test_n1023_across_raw_chunks(self, code1023_l20):
+        # 130 trials are two full raw-word chunks and part of a third
+        chunk = _RAW_BYTES // (8 * _layout(1023, 923)[3])
+        trials = 130
+        assert 1 < chunk < trials and trials % chunk
+        for ch in (ChannelParams(4e-3, 2e-3), ChannelParams(0.02, 0.01)):
+            assert _block_counts(code1023_l20, ch, 7, 2, 1000, 1000 + trials) == \
+                _reference_counts(code1023_l20, ch, 7, 2, 1000, 1000 + trials)
 
 
 class TestRunTrials:
