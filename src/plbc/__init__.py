@@ -27,7 +27,6 @@ from .bounds import (
     capacity_max,
     capacity_min,
     decoding_failure_bound,
-    macwilliams_transform,
     weight_distribution,
 )
 from .channel import (
@@ -45,7 +44,6 @@ from .codec import (
     construct_pbch,
     decode,
     encode,
-    mask_defects_one_step,
     masking_polys,
     message_inverse,
     params_for,
@@ -88,8 +86,6 @@ __all__ = [
     "encode",
     "enumerate_candidates",
     "field_for_length",
-    "macwilliams_transform",
-    "mask_defects_one_step",
     "masking_polys",
     "message_inverse",
     "minimal_polynomial",

@@ -1,15 +1,15 @@
 """Closed-form failure bounds and channel capacities.
 
 The failure bound is evaluated in natural-log space as a few whole-array
-passes over the number of stuck cells u = 0..n.  Log binomials are
-compensated running sums of log term ratios; P(U = u) and each family of
-binomial tails are one array each, a tail family one running
-``np.logaddexp`` sum; the masking union bound is a closed form, or a sum
-over u <= l + 1 only; and each truncated u-sum is one accumulation and one
-search.  Weight counts are held as logs, taken from exact integers or from
-a summed log-binomial row, and never pass through a float that could
-overflow, so every length the field supports (m <= 16, n up to 65535)
-works.
+passes over the number of stuck cells u = 0..n.  Every log binomial is a
+compensated running sum of log term ratios (``_sum_log_ratios``); P(U = u)
+and each family of binomial tails are one array each, a tail family one
+running ``np.logaddexp`` sum; the masking union bound is a closed form, or
+a sum over u <= l + 1 only; and each truncated u-sum is one accumulation
+and one search.  Weight counts are held as logs, taken from exact integers
+or from a summed log-binomial row, and never pass through a float that
+could overflow, so every length the field supports (m <= 16, n up to
+65535) works.
 
 Weight distributions are memoised per (n, l, d0, method) in a bounded cache
 and their arrays are read-only, so every caller shares one copy.
@@ -35,7 +35,6 @@ __all__ = [
     "capacity_max",
     "capacity_min",
     "decoding_failure_bound",
-    "macwilliams_transform",
     "weight_distribution",
 ]
 
@@ -62,20 +61,11 @@ def capacity_max(ch: ChannelParams) -> float:
     return (1.0 - ch.epsilon) * (1.0 - binary_entropy(ch.p))
 
 
-@functools.lru_cache(maxsize=8)
-def _log_factorials(n: int) -> np.ndarray:
-    """Read-only table of log i! for i = 0..n, so that log C(a, b) for
-    0 <= b <= a <= n is (lf[a] - lf[b]) - lf[a - b]."""
-    lf = np.array([math.lgamma(i + 1) for i in range(n + 1)])
-    lf.setflags(write=False)
-    return lf
-
-
 def _sum_log_ratios(num: np.ndarray, den: np.ndarray) -> np.ndarray:
     """0 then the running sums of log(num / den), each addition's rounding
     error recovered exactly (TwoSum) and added back.  For log C(65535, w)
-    a plain running sum drifts by up to 5e-10 and differences of the
-    log-factorial table by up to 2e-10, each a relative error of C itself.
+    a plain running sum drifts by up to 5e-10, and differences of a
+    log-gamma table by up to 2e-10, each a relative error of C itself.
     """
     steps = np.log(num / den)
     sums = np.cumsum(steps)
@@ -83,6 +73,18 @@ def _sum_log_ratios(num: np.ndarray, den: np.ndarray) -> np.ndarray:
     back = sums - prev
     lost = (prev - (sums - back)) + (steps - back)
     return np.concatenate(([0.0], sums + np.cumsum(lost)))
+
+
+def _log_binom_row(n: int) -> np.ndarray:
+    """log C(n, w) for w = 0..n: sums log((n - i + 1) / i) up to n/2 and
+    mirrors."""
+    half = n // 2
+    i = np.arange(1, half + 1)
+    low = _sum_log_ratios(n - i + 1, i)
+    row = np.empty(n + 1)
+    row[: half + 1] = low
+    row[n - half:] = low[::-1]
+    return row
 
 
 def _log_tails(big_n: int, p: float, t: int) -> np.ndarray:
@@ -123,14 +125,13 @@ def _log_diagonal_tails(n: int, p: float, t1: int, d0: int) -> np.ndarray:
     return out
 
 
-def _log_defect_pmf(n: int, epsilon: float, log_binoms: np.ndarray) -> np.ndarray:
+def _log_defect_pmf(n: int, epsilon: float) -> np.ndarray:
     """log P(U = u) for u = 0..n, U ~ Bin(n, epsilon) the number of stuck
-    cells, for 0 < epsilon <= 1: log C(n, u) + u log eps + (n - u) log(1 - eps),
-    with log C(n, u) read from ``log_binoms``."""
+    cells, for 0 < epsilon <= 1: log C(n, u) + u log eps + (n - u) log(1 - eps)."""
     if epsilon == 1.0:
         return np.append(np.full(n, _NEG_INF), 0.0)
     u = np.arange(n + 1)
-    return log_binoms + u * math.log(epsilon) + (n - u) * math.log1p(-epsilon)
+    return _log_binom_row(n) + u * math.log(epsilon) + (n - u) * math.log1p(-epsilon)
 
 
 # ---------------------------------------------------------------------------
@@ -152,8 +153,7 @@ class WeightDistribution:
 
     def __init__(self, n: int, counts, method: str):
         """``counts`` are exact ints or floats; logs are taken entry by entry.
-        NaN is refused; inf is taken as a count beyond the float range, which
-        ``macwilliams_transform`` names."""
+        NaN is refused; inf stands for a count beyond the float range."""
         counts = list(counts)
         if len(counts) != n + 1:
             raise ValueError("counts must have length n + 1")
@@ -203,18 +203,6 @@ def _exact_floats(ints: list[int], shift: int = 0) -> np.ndarray:
         except OverflowError:
             out[i] = math.inf
     return out
-
-
-def _log_binom_row(n: int) -> np.ndarray:
-    """log C(n, w) for w = 0..n: sums log((n - i + 1) / i) up to n/2 and
-    mirrors."""
-    half = n // 2
-    i = np.arange(1, half + 1)
-    low = _sum_log_ratios(n - i + 1, i)
-    row = np.empty(n + 1)
-    row[: half + 1] = low
-    row[n - half:] = low[::-1]
-    return row
 
 
 def _binomial_counts(n: int, l: int, d0: int) -> np.ndarray:
@@ -270,32 +258,12 @@ def weight_distribution(n: int, l: int, d0: int, method: str) -> WeightDistribut
     raise ValueError("unknown weight distribution method %r" % method)
 
 
-def macwilliams_transform(dual_wd: WeightDistribution) -> WeightDistribution:
-    """Weight counts of the code from its dual via the Krawtchouk transform.
-
-    A_w = 2^(-dim) sum_j B_j K_w(j), with the binary Krawtchouk polynomials
-    generated by their three-term recurrence in exact integer arithmetic.
-    The dual counts are read as floats, so each must be at most 2^53, where
-    a float still holds every integer; a larger or non-finite count raises
-    NumericError.  Non-integral or negative outputs mean the input was not a
-    valid dual distribution and raise NumericError.
-    """
-    b_int = []
-    for w, c in enumerate(dual_wd.counts):
-        if not c <= 2.0 ** 53:  # NaN and inf included
-            raise NumericError(
-                "dual weight count at weight %d is %r; a float does not hold "
-                "counts above 2^53 exactly" % (w, float(c)))
-        r = round(float(c))
-        if abs(c - r) > 1e-6:
-            raise NumericError("dual weight counts must be integers, got %r" % c)
-        b_int.append(int(r))
-    counts = _macwilliams_ints(dual_wd.n, b_int)
-    return WeightDistribution(dual_wd.n, counts, "macwilliams")
-
-
 def _macwilliams_ints(n: int, b_int: list[int]) -> list[int]:
-    """Exact A_0..A_n from the exact dual counts B_0..B_n."""
+    """Exact A_0..A_n from the exact dual counts B_0..B_n by the Krawtchouk
+    transform, A_w = 2^(-dim) sum_j B_j K_w(j), with the binary Krawtchouk
+    polynomials from their three-term recurrence in exact integers.  A dual
+    size that is not a power of two, or a non-integral or negative A_w,
+    raises NumericError."""
     size = sum(b_int)
     dim = size.bit_length() - 1
     if size != 1 << dim:
@@ -331,18 +299,16 @@ def _macwilliams_ints(n: int, b_int: list[int]) -> list[int]:
 # ---------------------------------------------------------------------------
 
 def _log_masking_sums(wd: WeightDistribution, top: int) -> np.ndarray:
-    """log x_u for u = 0..top, x_u = sum_w A_w C(n-w, u-w) / C(n, u) the
-    unclamped union bound on P(masking fails | U = u); -inf where no
-    weight w <= u has a count."""
-    n = wd.n
-    lf = _log_factorials(n)
-    u = np.arange(top + 1)[:, None]
-    w = (np.flatnonzero(wd.log_counts[1:top + 1] > _NEG_INF) + 1)[None, :]
-    inside = w <= u
-    v = np.where(inside, u - w, 0)
-    lcnu = (lf[n] - lf[u]) - lf[n - u]
-    terms = wd.log_counts[w] + ((lf[n - w] - lf[v]) - lf[n - u]) - lcnu
-    terms[~inside] = _NEG_INF
+    """log x_u for u = 0..top, x_u = sum_w A_w C(u, w) / C(n, w) the
+    unclamped union bound on P(masking fails | U = u), the same quantity as
+    sum_w A_w C(n-w, u-w) / C(n, u); -inf where no weight w <= u has a
+    count."""
+    w = np.flatnonzero(wd.log_counts[1:top + 1] > _NEG_INF) + 1
+    terms = np.full((top + 1, w.size), _NEG_INF)
+    for u in range(top + 1):
+        inside = w[w <= u]  # w ascends, so a prefix
+        terms[u, :inside.size] = _log_binom_row(u)[inside]
+    terms += wd.log_counts[w] - _log_binom_row(wd.n)[w]
     return np.logaddexp.reduce(terms, axis=1, initial=_NEG_INF)
 
 
@@ -448,14 +414,10 @@ def decoding_failure_bound(
     if wd.n != n:
         raise ValueError("weight distribution length mismatch")
 
-    lf = _log_factorials(n)
-    u = np.arange(n + 1)
-    log_pmf = _log_defect_pmf(n, ch.epsilon, _log_binom_row(n))
-    # log P(U > u) at index u, -inf at u = n.  It only places the 1e-3 cut
-    # and gives u_tail_bound, and it reads log C(n, u) off the log-factorial
-    # table, so that math.lgamma alone reproduces both.
-    table_pmf = _log_defect_pmf(n, ch.epsilon, (lf[n] - lf[u]) - lf[n - u])
-    log_more = np.append(np.logaddexp.accumulate(table_pmf[::-1])[-2::-1], _NEG_INF)
+    log_pmf = _log_defect_pmf(n, ch.epsilon)
+    # log P(U > u) at index u, -inf at u = n: it places the 1e-3 cut and
+    # gives u_tail_bound
+    log_more = np.append(np.logaddexp.accumulate(log_pmf[::-1])[-2::-1], _NEG_INF)
     # index u: log P(Bin(n - u, p) >= t1 + 1), errors beyond the radius
     mask_ok_fails = log_pmf + _log_tails(n, ch.p, t1 + 1)[::-1]
     mask_fails = ((log_pmf + _log_masking_bound(params, wd))[d0:]

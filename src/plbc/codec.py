@@ -53,7 +53,6 @@ __all__ = [
     "construct_pbch",
     "decode",
     "encode",
-    "mask_defects_one_step",
     "masking_polys",
     "message_inverse",
     "verify_distances",
@@ -332,7 +331,7 @@ def _check_code_identities(code: PbchCode) -> None:
 # ---------------------------------------------------------------------------
 
 def _encode_ints(
-    code: PbchCode, w: int, stuck: list[int], values: int, two_step: bool
+    code: PbchCode, w: int, stuck: list[int], values: int
 ) -> tuple[int, int, int, int]:
     """Int core of encoding: codeword c, masking vector d, unmasked, step.
 
@@ -350,7 +349,7 @@ def _encode_ints(
     mismatch = (c ^ values).to_bytes((n + 7) >> 3, "little")
     cols = code._mask_cols
     aug = [cols[j] | (mismatch[j >> 3] >> (j & 7) & 1) << l for j in stuck]
-    d, unmasked, step = _solve_mask(code, aug, two_step)
+    d, unmasked, step = _solve_mask(code, aug)
     rest = d
     while rest:
         low = rest & -rest
@@ -359,23 +358,21 @@ def _encode_ints(
     return c, d, unmasked, step
 
 
-def _solve_mask(code: PbchCode, aug: list[int], two_step: bool) -> tuple[int, int, int]:
+def _solve_mask(code: PbchCode, aug: list[int]) -> tuple[int, int, int]:
     """Masking vector d, stuck cells left unmasked, and the step used.
 
-    Two-step masking first solves the whole system (step 1).  Otherwise, and
-    when that system is inconsistent, it solves the first d0 - 1 rows, which
-    always admit a solution; the step is 2 whenever rows were left out.
+    Step 1 solves the whole system.  When that is inconsistent, which needs
+    more than d0 - 1 rows, step 2 solves the first d0 - 1 rows, which always
+    admit a solution, and leaves the others to the decoder.
     """
     l = code.params.l
-    if two_step:
-        d = _solve_aug_rows(aug, l)
-        if d is not None:
-            return d, 0, 1
-    keep = min(max(code.params.d0 - 1, 0), len(aug))
-    d = _solve_aug_rows(aug[:keep], l)
+    d = _solve_aug_rows(aug, l)
+    if d is not None:
+        return d, 0, 1
+    d = _solve_aug_rows(aug[:max(code.params.d0 - 1, 0)], l)
     if d is None:
         raise AssertionError("restricted masking system must be solvable")
-    return d, _residual_weight(d, aug, l), 1 if keep == len(aug) else 2
+    return d, _residual_weight(d, aug, l), 2
 
 
 def _residual_weight(d: int, aug: list[int], l: int) -> int:
@@ -387,14 +384,6 @@ def _residual_weight(d: int, aug: list[int], l: int) -> int:
             acc ^= (d & row & (rhs - 1)).bit_count() & 1
         count += acc
     return count
-
-
-def mask_defects_one_step(code: PbchCode, w: BitVector, s: DefectVector) -> MaskResult:
-    """Baseline single-step masking: solve only the first min(d0-1, u) cells."""
-    _check_encode_args(code, w, s)
-    _, d, unmasked, step = _encode_ints(code, w.value, _stuck_cells(s), s.values.value,
-                                        two_step=False)
-    return MaskResult(BitVector(code.params.l, d), unmasked, step)
 
 
 def _check_encode_args(code: PbchCode, w: BitVector, s: DefectVector) -> None:
@@ -412,8 +401,7 @@ def _stuck_cells(s: DefectVector) -> list[int]:
 def encode(code: PbchCode, w: BitVector, s: DefectVector) -> tuple[BitVector, MaskResult]:
     """Encode w given known defects s; returns the codeword and mask choice."""
     _check_encode_args(code, w, s)
-    c, d, unmasked, step = _encode_ints(code, w.value, _stuck_cells(s), s.values.value,
-                                        two_step=True)
+    c, d, unmasked, step = _encode_ints(code, w.value, _stuck_cells(s), s.values.value)
     return (
         BitVector(code.params.n, c),
         MaskResult(BitVector(code.params.l, d), unmasked, step),
@@ -496,15 +484,15 @@ def _chien_roots(code: PbchCode, sigma: list[int]) -> list[int]:
     return ((n - np.flatnonzero(acc == 0)) % n).tolist()
 
 
-def _extract_message(code: PbchCode, c: BitVector) -> BitVector:
+def _extract_message(code: PbchCode, c: int) -> int:
     """The message T c read off a word, from the polynomials of T."""
     big_k = code.params.k + code.params.l
     low = (1 << big_k) - 1
     prod = 0
-    for j, byte in enumerate((c.value & low).to_bytes((big_k + 7) >> 3, "little")):
+    for j, byte in enumerate((c & low).to_bytes((big_k + 7) >> 3, "little")):
         if byte:
             prod ^= code._u_bytes[byte] << 8 * j
-    return BitVector(code.params.k, poly_divmod(prod & low, code._q)[1])
+    return poly_divmod(prod & low, code._q)[1]
 
 
 def decode(code: PbchCode, y: BitVector) -> DecodeOutcome:
@@ -516,11 +504,12 @@ def decode(code: PbchCode, y: BitVector) -> DecodeOutcome:
     """
     if y.n != code.params.n:
         raise ValueError("received word length must be n=%d" % code.params.n)
-    c, status, z_weight = _decode_words(code, y)
-    return DecodeOutcome(_extract_message(code, c), status, z_weight)
+    c, status, z_weight = _decode_words(code, y.value)
+    w_hat = BitVector(code.params.k, _extract_message(code, c))
+    return DecodeOutcome(w_hat, status, z_weight)
 
 
-def _decode_words(code: PbchCode, y: BitVector) -> tuple[BitVector, str, int]:
+def _decode_words(code: PbchCode, y: int) -> tuple[int, str, int]:
     """Decoder core: (word the message is read from, status, z weight).
 
     Flipping the roots needs no syndrome check after it.  A locator of
@@ -532,7 +521,7 @@ def _decode_words(code: PbchCode, y: BitVector) -> tuple[BitVector, str, int]:
     params = code.params
     if params.r == 0:
         return y, "corrected", 0
-    syn = _syndromes(code, y.value)
+    syn = _syndromes(code, y)
     if not any(syn):
         return y, "corrected", 0
     sigma, L = _berlekamp_massey(code.field, syn)
@@ -541,10 +530,10 @@ def _decode_words(code: PbchCode, y: BitVector) -> tuple[BitVector, str, int]:
     roots = _chien_roots(code, sigma)
     if len(roots) != L:
         return y, "detected_failure", 0
-    c = y.value
+    c = y
     for i in roots:
         c ^= 1 << i
-    return BitVector(params.n, c), "corrected", L
+    return c, "corrected", L
 
 
 # ---------------------------------------------------------------------------

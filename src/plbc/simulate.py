@@ -35,7 +35,7 @@ import numpy as np
 # here (the names tests/test_api.py lists)
 from .channel import ChannelParams, sample_defects, sample_errors, transmit
 from .codec import PbchCode, _decode_words, _encode_ints, _extract_message, encode
-from .gf2 import BitVector, _bits_to_int
+from .gf2 import _bits_to_int
 
 __all__ = ["BLOCK_TRIALS", "SimResult", "run_trials", "trial_rng", "wilson_interval"]
 
@@ -175,17 +175,17 @@ def _chunk_counts(code: PbchCode, ch: ChannelParams, raw: np.ndarray):
     start = 0
     for i, end in enumerate(ends):
         w = words[i]
-        c, _, unmasked, _ = _encode_ints(code, w, cells[start:end], values[i], two_step=True)
+        c, _, unmasked, _ = _encode_ints(code, w, cells[start:end], values[i])
         start = end
         # y + c is the unmasked residue plus the errors, of weight
         # unmasked + flips; at most t1 of them decode back to c
         failed = False
         if unmasked + flips[i] > t1:
             y = (c & ~_bits_to_int(stuck[i]) ^ _bits_to_int(errs[i])) | values[i]
-            c_hat = _decode_words(code, BitVector(n, y))[0]
+            c_hat = _decode_words(code, y)[0]
             # the message map sends c back to w, so reading the message
             # off is needed only when the decoder lands elsewhere
-            failed = c_hat.value != c and _extract_message(code, c_hat).value != w
+            failed = c_hat != c and _extract_message(code, c_hat) != w
         mf = unmasked > 0
         mask += mf
         dec += failed

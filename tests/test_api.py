@@ -112,3 +112,13 @@ def test_benchmark_sim_n15_smoke(trace):
         for name in ("simulate.self_us_per_trial", "simulate.trials",
                      "codec.decode_words_us"):
             assert res["metrics"][name]["value"] > 0, name
+
+
+@pytest.mark.parametrize("trace", ["0", "1"])
+def test_benchmark_allocate_smoke(trace):
+    res = _bench_smoke("allocate-table2", trace)
+    if trace == "1":
+        # the bound engine and the allocation around it stay visible
+        for name in ("bounds.decoding_failure_bound_ms",
+                     "bounds.decoding_failure_bound_calls", "allocate.allocate_ms"):
+            assert res["metrics"][name]["value"] > 0, name

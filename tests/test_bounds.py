@@ -1,5 +1,6 @@
 import functools
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -15,7 +16,6 @@ from plbc.bounds import (
     capacity_max,
     capacity_min,
     decoding_failure_bound,
-    macwilliams_transform,
     weight_distribution,
 )
 from plbc.channel import ChannelParams
@@ -69,18 +69,6 @@ class TestEntropyAndCapacity:
         assert capacity_max(ch) == 1.0
 
 
-def table_pmf(n, eps):
-    """log P(U = u) from the log-factorial table, as P(U > u) reads it."""
-    lf = bounds._log_factorials(n)
-    u = np.arange(n + 1)
-    return bounds._log_defect_pmf(n, eps, (lf[n] - lf[u]) - lf[n - u])
-
-
-def row_pmf(n, eps):
-    """log P(U = u) from the log-binomial row, as the summed terms read it."""
-    return bounds._log_defect_pmf(n, eps, bounds._log_binom_row(n))
-
-
 def exact_tail(n, p, t):
     """P(Bin(n, p) >= t) correctly rounded from exact integers: a float p
     is a / b with b a power of 2, and int / int rounds once."""
@@ -96,43 +84,36 @@ def exact_tail(n, p, t):
 
 
 class TestBinomials:
-    # P(U = u) as the bound reads it, from _log_defect_pmf with log C(n, u)
-    # from the log-factorial table and from the log-binomial row
+    # P(U = u) as the bound reads it, summed and for P(U > u) alike
     def test_prob_defects_trivial(self):
-        for pmf in (table_pmf, row_pmf):
-            assert np.exp(pmf(100, 1.0)[100]) == 1.0
-            assert np.all(pmf(100, 1.0)[:100] == -np.inf)
-            assert np.exp(pmf(2, 0.5)[1]) == pytest.approx(0.5, rel=1e-14)
+        pmf = bounds._log_defect_pmf
+        assert np.exp(pmf(100, 1.0)[100]) == 1.0
+        assert np.all(pmf(100, 1.0)[:100] == -np.inf)
+        assert np.exp(pmf(2, 0.5)[1]) == pytest.approx(0.5, rel=1e-14)
 
     def test_prob_defects_normalizes(self):
         for eps, _ in PRESET_CHANNELS.values():
             if eps:
-                for pmf in (table_pmf, row_pmf):
-                    assert np.exp(pmf(1023, eps)).sum() == pytest.approx(1.0, abs=1e-10)
+                got = np.exp(bounds._log_defect_pmf(1023, eps)).sum()
+                assert got == pytest.approx(1.0, abs=1e-10)
 
     def test_prob_defects_matches_scipy(self):
-        for pmf in (table_pmf, row_pmf):
-            got = np.exp(pmf(1023, 6e-3))
-            for u in (0, 1, 5, 20, 100):
-                assert got[u] == pytest.approx(stats.binom.pmf(u, 1023, 6e-3), rel=1e-10)
+        got = np.exp(bounds._log_defect_pmf(1023, 6e-3))
+        for u in (0, 1, 5, 20, 100):
+            assert got[u] == pytest.approx(stats.binom.pmf(u, 1023, 6e-3), rel=1e-10, abs=0)
 
     def test_log_binom_exact(self):
-        # log C(n, k) as P(U > u) takes it from the log-factorial table and
-        # the summed terms from the log-binomial row, and the scalar
-        # reference's log_binom and exact_log_binom below
+        # log C(n, k) as the bound reads it, from the log-binomial row, and
+        # the scalar reference's exact_log_binom below
         rng = np.random.default_rng(41)
         for _ in range(100):
             n = int(rng.integers(0, 400))
             k = int(rng.integers(0, n + 1)) if n else 0
-            lf = bounds._log_factorials(n)
             want = math.log(math.comb(n, k))
-            assert (lf[n] - lf[k]) - lf[n - k] == pytest.approx(want, rel=1e-12)
             assert bounds._log_binom_row(n)[k] == pytest.approx(want, rel=1e-12)
-            assert log_binom(n, k) == pytest.approx(want, rel=1e-12)
             assert exact_log_binom(n, k) == want
-        for helper in (log_binom, exact_log_binom):
-            assert helper(5, 6) == -math.inf
-            assert helper(5, -1) == -math.inf
+        assert exact_log_binom(5, 6) == -math.inf
+        assert exact_log_binom(5, -1) == -math.inf
 
     def test_tail_against_scipy(self):
         # every N = 0..n of the fixed-threshold family at once
@@ -183,11 +164,11 @@ class TestBinomials:
                 diagonal = bounds._log_diagonal_tails(n, p, par.t1, par.d0)
                 for u in range(0, 31, 3):
                     want = exact_tail(n - u, p, par.t1 + 1)
-                    assert math.exp(fixed[n - u]) == pytest.approx(want, rel=2e-13)
+                    assert math.exp(fixed[n - u]) == pytest.approx(want, rel=2e-13, abs=0)
                     if u >= par.d0:
                         want = exact_tail(n - u, p, par.t1 + par.d0 - u)
                         got = math.exp(diagonal[u - par.d0])
-                        assert got == pytest.approx(want, rel=2e-13)
+                        assert got == pytest.approx(want, rel=2e-13, abs=0)
 
 
 class TestWeightDistribution:
@@ -246,43 +227,27 @@ class TestWeightDistribution:
 
 
 class TestMacwilliamsTransform:
+    # the Krawtchouk transform on exact integer counts
     def test_even_weight_code(self):
         # dual of the [3,2] even-weight code is the repetition code
-        dual = WeightDistribution(3, np.array([1.0, 0, 0, 1.0]), "exact-enumeration")
-        wd = macwilliams_transform(dual)
-        assert list(wd.counts) == [1.0, 0.0, 3.0, 0.0]
+        assert bounds._macwilliams_ints(3, [1, 0, 0, 1]) == [1, 0, 3, 0]
 
     def test_involution_on_self_dual_pair(self):
         # transforming twice returns the original distribution
-        dual = weight_distribution(15, 8, 5, "exact-enumeration")
-        once = macwilliams_transform(dual)
-        twice = macwilliams_transform(once)
-        assert np.array_equal(twice.counts, dual.counts)
-
-    def test_rejects_nonintegral(self):
-        bad = WeightDistribution(3, np.array([1.0, 0.5, 0, 0]), "exact-enumeration")
-        with pytest.raises(NumericError):
-            macwilliams_transform(bad)
+        dual = [int(c) for c in weight_distribution(15, 8, 5, "exact-enumeration").counts]
+        once = bounds._macwilliams_ints(15, dual)
+        assert bounds._macwilliams_ints(15, once) == dual
 
     def test_rejects_bad_size(self):
-        bad = WeightDistribution(3, np.array([1.0, 1.0, 1.0, 0]), "exact-enumeration")
-        with pytest.raises(NumericError):
-            macwilliams_transform(bad)
+        with pytest.raises(NumericError, match="not a power of two"):
+            bounds._macwilliams_ints(3, [1, 1, 1, 0])
 
     def test_back_to_the_dual(self):
         # every count of the [63, 51] code is below 2^53
         _, p = masking_polys(63, 12, 5)
-        dual = macwilliams_transform(weight_distribution(63, 12, 5, "macwilliams"))
-        assert dual.counts.tolist() == _span_weight_counts([p << i for i in range(12)], 63)
-
-    def test_rejects_counts_a_float_cannot_hold(self):
-        wd = weight_distribution(127, 14, 5, "macwilliams")
-        first = next(w for w, c in enumerate(wd.counts) if c > 2 ** 53)
-        with pytest.raises(NumericError, match=r"at weight %d is .*above 2\^53" % first):
-            macwilliams_transform(wd)
-        bad = WeightDistribution(3, [1, math.inf, 0, 0], "exact-enumeration")
-        with pytest.raises(NumericError, match="at weight 1 is inf"):
-            macwilliams_transform(bad)
+        counts = [int(c) for c in weight_distribution(63, 12, 5, "macwilliams").counts]
+        dual = bounds._macwilliams_ints(63, counts)
+        assert dual == _span_weight_counts([p << i for i in range(12)], 63)
 
 
 def counted_splits(n):
@@ -353,6 +318,25 @@ class TestMaskingFailureBound:
         for l, d0, method in splits:
             wd = weight_distribution(n, l, d0, method)
             assert bounds._log_masking_sums(wd, l + 1)[l + 1] >= 0.0, (l, d0, method)
+
+    @pytest.mark.parametrize("n,l,d0,method", [
+        (15, 4, 3, "exact-enumeration"),
+        (255, 16, 5, "macwilliams"),
+        (1023, 20, 5, "macwilliams"),
+    ])
+    def test_counted_sums_exact(self, n, l, d0, method):
+        # x_u = sum_w A_w C(u, w) / C(n, w) for u <= l + 1 in exact
+        # rationals, with the exact integer A_w from the dual
+        _, p = masking_polys(n, l, d0)
+        counts = bounds._macwilliams_ints(n, _span_weight_counts([p << i for i in range(l)], n))
+        got = bounds._log_masking_sums(weight_distribution(n, l, d0, method), l + 1)
+        for u in range(l + 2):
+            want = sum(Fraction(counts[w] * math.comb(u, w), math.comb(n, w))
+                       for w in range(1, u + 1))
+            if want == 0:
+                assert got[u] == -math.inf
+            else:
+                assert math.exp(got[u]) == pytest.approx(float(want), rel=1e-13, abs=0)
 
     def test_non_code_counts_raise(self):
         # a single word of weight 3: x_5 = C(5, 3) / C(15, 3) < 1, which no
@@ -449,16 +433,9 @@ class TestDecodingFailureBound:
 # scalar reference: the bound summed per u and per w with the documented
 # truncation, one logaddexp at a time; the numpy engine must agree with it.
 # Every summed log C(a, b) is exact_log_binom; only P(U > u), which places
-# the cut and gives u_tail_bound, uses math.lgamma, so that u_tail_bound
-# compares with ==.
+# the cut and gives u_tail_bound, reads the engine's log-binomial row, so
+# that u_tail_bound compares with ==.
 # ---------------------------------------------------------------------------
-
-def log_binom(n, k):
-    """log C(n, k) from math.lgamma; -inf outside the triangle."""
-    if k < 0 or k > n:
-        return -math.inf
-    return math.lgamma(n + 1) - math.lgamma(k + 1) - math.lgamma(n - k + 1)
-
 
 @functools.cache
 def exact_log_binom_row(n):
@@ -510,10 +487,11 @@ def scalar_bound(params, wd, ch, truncate=True):
     n, t1, d0 = params.n, params.t1, params.d0
     le, l1e = math.log(ch.epsilon), math.log1p(-ch.epsilon)
     log_pmf = [exact_log_binom(n, u) + u * le + (n - u) * l1e for u in range(n + 1)]
+    row = bounds._log_binom_row(n).tolist()
     log_more = [-math.inf] * (n + 1)  # log P(U > u)
     acc = -math.inf
     for u in range(n, 0, -1):
-        acc = _lae(acc, log_binom(n, u) + u * le + (n - u) * l1e)
+        acc = _lae(acc, row[u] + u * le + (n - u) * l1e)
         log_more[u - 1] = acc
     log_counts = [float(x) for x in wd.log_counts]
 
@@ -580,7 +558,7 @@ class TestAgainstScalarReference:
                 if eps == 0.0 or l == 0:
                     q = p if eps == 0.0 else ch.p_tilde
                     want = math.exp(scalar_log_tail(1023, q, params.t1 + 1))
-                    assert res.total == pytest.approx(want, rel=1e-12)
+                    assert res.total == pytest.approx(want, rel=1e-12, abs=0)
                     assert res.u_tail_bound == 0.0
                 else:
                     assert_matches_scalar(res, params, wd, ch)
@@ -694,7 +672,6 @@ class TestCache:
         params = params_for(1023, 923, 30)
         ch = ChannelParams(6e-3, 1e-3)
         weight_distribution.cache_clear()
-        bounds._log_factorials.cache_clear()
         cold = decoding_failure_bound(
             params, weight_distribution(1023, 30, 7, "binomial-approx"), ch)
         warm = decoding_failure_bound(
