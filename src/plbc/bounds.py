@@ -5,14 +5,18 @@ passes over the number of stuck cells u = 0..n.  Every log binomial is a
 compensated running sum of log term ratios (``_sum_log_ratios``); P(U = u)
 and each family of binomial tails are one array each, a tail family one
 running ``np.logaddexp`` sum; the masking union bound is a closed form, or
-a sum over u <= l + 1 only; and each truncated u-sum is one accumulation
-and one search.  Weight counts are held as logs, taken from exact integers
+a sum over u <= l + 1 only; and each truncated u-sum is accumulated only
+up to its cut.  Weight counts are held as logs, taken from exact integers
 or from a summed log-binomial row, and never pass through a float that
 could overflow, so every length the field supports (m <= 16, n up to
 65535) works.
 
-Weight distributions are memoised per (n, l, d0, method) in a bounded cache
-and their arrays are read-only, so every caller shares one copy.
+Whatever does not depend on the error rate p is memoised in bounded caches
+and read-only, so every caller shares one copy: weight distributions per
+(n, l, d0, method), log P(U = u) and log P(U > u) per (n, epsilon), the
+'binomial-approx' masking bound per (n, l, d0), and the log-binomial column
+of a tail per (n, t).  A counted masking bound is kept on its
+``WeightDistribution``.
 """
 
 from __future__ import annotations
@@ -87,6 +91,41 @@ def _log_binom_row(n: int) -> np.ndarray:
     return row
 
 
+def _read_only(a: np.ndarray) -> np.ndarray:
+    a.setflags(write=False)
+    return a
+
+
+@functools.lru_cache(maxsize=24)
+def _tail_column(n: int, t: int) -> np.ndarray:
+    """log C(N', t-1) for N' = t-1..n-1, 1 <= t <= n: the binomials under a
+    fixed-threshold tail, read-only and memoised.  It is a running sum, so
+    its first N - t + 1 entries are, bit for bit, the column of any N <= n."""
+    k = np.arange(1, n - t + 1)
+    return _read_only(_sum_log_ratios(t - 1 + k, k))
+
+
+def _tail_terms(big_n: int, p: float, t: int, n: int) -> np.ndarray:
+    """log p P(Bin(N', p) = t-1) for N' = t-1..big_n-1, 0 < p < 1, with the
+    binomials read from the column of length n >= big_n."""
+    k = np.arange(big_n - t + 1)  # N' - (t - 1)
+    return _tail_column(n, t)[:k.size] + (t * math.log(p) + k * math.log1p(-p))
+
+
+def _log_tail(big_n: int, p: float, t: int, n: int | None = None) -> float:
+    """log P(Bin(big_n, p) >= t): the last entry of ``_log_tails``, from
+    one reduction over the same terms.  ``n`` >= big_n names the column
+    to read, so that tails of several lengths share one."""
+    if t <= 0:
+        return 0.0
+    if t > big_n or p == 0.0:
+        return _NEG_INF
+    if p == 1.0:
+        return 0.0
+    terms = _tail_terms(big_n, p, t, big_n if n is None else n)
+    return float(np.logaddexp.reduce(terms))
+
+
 def _log_tails(big_n: int, p: float, t: int) -> np.ndarray:
     """log P(Bin(N, p) >= t) for N = 0..big_n.
 
@@ -100,9 +139,7 @@ def _log_tails(big_n: int, p: float, t: int) -> np.ndarray:
     if p == 1.0:
         out[t:] = 0.0
         return out
-    k = np.arange(big_n - t + 1)  # N' - (t - 1)
-    log_pmf = _sum_log_ratios(t - 1 + k[1:], k[1:]) + (t * math.log(p) + k * math.log1p(-p))
-    out[t:] = np.logaddexp.accumulate(log_pmf)
+    np.logaddexp.accumulate(_tail_terms(big_n, p, t, big_n), out=out[t:])
     return out
 
 
@@ -115,7 +152,7 @@ def _log_diagonal_tails(n: int, p: float, t1: int, d0: int) -> np.ndarray:
     (>= 0 for every split).  The tail is 1 once tau <= 0.
     """
     out = np.zeros(n - d0 + 1)
-    out[:t1] = _log_tails(n - d0, p, t1)[-1]
+    out[:t1] = _log_tail(n - d0, p, t1, n)
     if t1 > 1 and 0.0 < p < 1.0:
         big_d = n - t1 - d0
         k = np.arange(1, t1)
@@ -132,6 +169,15 @@ def _log_defect_pmf(n: int, epsilon: float) -> np.ndarray:
         return np.append(np.full(n, _NEG_INF), 0.0)
     u = np.arange(n + 1)
     return _log_binom_row(n) + u * math.log(epsilon) + (n - u) * math.log1p(-epsilon)
+
+
+@functools.lru_cache(maxsize=8)
+def _defect_logs(n: int, epsilon: float) -> tuple[np.ndarray, np.ndarray]:
+    """log P(U = u) and log P(U > u) for u = 0..n, the latter -inf at u = n;
+    read-only and memoised per channel."""
+    log_pmf = _log_defect_pmf(n, epsilon)
+    log_more = np.append(np.logaddexp.accumulate(log_pmf[::-1])[-2::-1], _NEG_INF)
+    return _read_only(log_pmf), _read_only(log_more)
 
 
 # ---------------------------------------------------------------------------
@@ -319,6 +365,13 @@ def _log_binomial_masking(n: int, l: int, d0: int) -> np.ndarray:
     return (np.arange(n + 1) - l) * _LN2 + _log_tails(n, 0.5, d0)
 
 
+@functools.lru_cache(maxsize=16)
+def _log_binomial_masking_bound(n: int, l: int, d0: int) -> np.ndarray:
+    """log min(1, x_u) for u = 0..n under 'binomial-approx'; read-only and
+    memoised per (n, l, d0)."""
+    return _read_only(np.minimum(0.0, _log_binomial_masking(n, l, d0)))
+
+
 def _log_masking_bound(params: PlbcParams, wd: WeightDistribution) -> np.ndarray:
     """log min(1, x_u) for u = 0..n, x_u as in ``_log_masking_sums``.
 
@@ -329,18 +382,24 @@ def _log_masking_bound(params: PlbcParams, wd: WeightDistribution) -> np.ndarray
     the kernel of G0 restricted to S, an l x u matrix, so N(S) >= 2^(u-l).
     And x_u = sum_w A_w C(u, w) / C(n, w) does not fall with u for any
     nonnegative counts, so x_(l+1) >= 1 is all the clamp needs; counts with
-    x_(l+1) below 1 by more than rounding are no code's: NumericError.
+    x_(l+1) below 1 by more than rounding are no code's: NumericError.  The
+    counted bound is kept, read-only, on ``wd`` for the last l it served:
+    the counts, not (n, l, method), decide it.
     """
     n, l = params.n, params.l
     if wd.method == "binomial-approx":
-        return np.minimum(0.0, _log_binomial_masking(n, l, params.d0))
+        return _log_binomial_masking_bound(n, l, params.d0)
     top = l + 1  # <= n, as k >= 1
+    kept = wd.__dict__.get("_masking")
+    if kept is not None and kept[0] == top:
+        return kept[1]
     out = np.zeros(n + 1)
     out[:top + 1] = np.minimum(0.0, _log_masking_sums(wd, top))
     if top < n and out[top] < -1e-9:
         raise NumericError(
             "weight counts give a masking bound of %.6g below 1 at u = l + 1 = %d; "
             "no [n, n-l] code has them" % (math.exp(out[top]), top))
+    wd.__dict__["_masking"] = (top, _read_only(out))
     return out
 
 
@@ -372,13 +431,19 @@ def _truncated_log_sum(log_terms: np.ndarray, start: int, log_more: np.ndarray):
 
     The sum stops at the first u where log P(U > u) (``log_more``) is below
     log(1e-3) plus the running log-sum.  Returns the log-sum and the
-    left-out P(U > u), 0.0 when the sum was not cut.
+    left-out P(U > u), 0.0 when the sum was not cut.  The running log-sum is
+    at least the running maximum, so the cut comes no later than where the
+    maximum alone meets the rule, and only that prefix is accumulated.
     """
-    cum = np.logaddexp.accumulate(log_terms)
-    hit = np.flatnonzero((cum > _NEG_INF) & (log_more[start:] < cum + _LOG_TRUNC))
+    log_more = log_more[start:]
+    peak = np.maximum.accumulate(log_terms)
+    hit = np.flatnonzero((peak > _NEG_INF) & (log_more < peak + _LOG_TRUNC))
+    end = hit[0] + 1 if hit.size else log_terms.size
+    cum = np.logaddexp.accumulate(log_terms[:end])
+    hit = np.flatnonzero((cum > _NEG_INF) & (log_more[:end] < cum + _LOG_TRUNC))
     if hit.size:
         i = hit[0]
-        return float(cum[i]), math.exp(log_more[start + i])
+        return float(cum[i]), math.exp(log_more[i])
     return float(cum[-1]), 0.0
 
 
@@ -402,11 +467,11 @@ def decoding_failure_bound(
     """
     n, t1, d0 = params.n, params.t1, params.d0
     if ch.epsilon == 0.0:
-        total = math.exp(_log_tails(n, ch.p, t1 + 1)[n])
+        total = math.exp(_log_tail(n, ch.p, t1 + 1))
         return BoundResult(0.0, total, total, "epsilon-zero",
                            aw_method=wd.method if wd else None)
     if params.l == 0:
-        total = math.exp(_log_tails(n, ch.p_tilde, t1 + 1)[n])
+        total = math.exp(_log_tail(n, ch.p_tilde, t1 + 1))
         return BoundResult(0.0, total, total, "l-zero",
                            aw_method=wd.method if wd else None)
     if wd is None:
@@ -414,10 +479,8 @@ def decoding_failure_bound(
     if wd.n != n:
         raise ValueError("weight distribution length mismatch")
 
-    log_pmf = _log_defect_pmf(n, ch.epsilon)
-    # log P(U > u) at index u, -inf at u = n: it places the 1e-3 cut and
-    # gives u_tail_bound
-    log_more = np.append(np.logaddexp.accumulate(log_pmf[::-1])[-2::-1], _NEG_INF)
+    # log P(U > u) places the 1e-3 cut and gives u_tail_bound
+    log_pmf, log_more = _defect_logs(n, ch.epsilon)
     # index u: log P(Bin(n - u, p) >= t1 + 1), errors beyond the radius
     mask_ok_fails = log_pmf + _log_tails(n, ch.p, t1 + 1)[::-1]
     mask_fails = ((log_pmf + _log_masking_bound(params, wd))[d0:]

@@ -4,12 +4,12 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy import stats
 
 from plbc import bounds
-from plbc.allocate import enumerate_candidates
+from plbc.allocate import _bound_split, enumerate_candidates
 from plbc.bounds import (
     WeightDistribution,
     binary_entropy,
@@ -138,6 +138,20 @@ class TestBinomials:
     def test_tail_monotone_in_threshold(self):
         vals = [bounds._log_tails(100, 0.1, t)[100] for t in range(0, 101)]
         assert all(a >= b for a, b in zip(vals, vals[1:]))
+
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(
+        big_n=st.integers(0, 300),
+        longer=st.integers(0, 40),
+        t=st.integers(-2, 305),
+        p=st.one_of(st.sampled_from([0.0, 1.0, 0.5]), st.floats(1e-9, 1.0)),
+    )
+    def test_single_tail_is_last_of_family(self, big_n, longer, t, p):
+        # one reduction over the terms == the running sum's last entry, bit
+        # for bit, also when the binomials come from a longer column
+        want = bounds._log_tails(big_n, p, t)[-1]
+        assert bounds._log_tail(big_n, p, t) == want
+        assert bounds._log_tail(big_n, p, t, big_n + longer) == want
 
     def test_diagonal_tails_against_scipy(self):
         # P(Bin(n - u, p) >= t1 + d0 - u) for u = d0..n, edges p = 0 and 1
@@ -595,6 +609,41 @@ class TestAgainstScalarReference:
             assert got[u] == pytest.approx(want, rel=1e-12, abs=1e-300)
 
 
+def full_truncated_log_sum(log_terms, start, log_more):
+    """The truncated u-sum as one accumulation over every term and one
+    search; the engine must return exactly this."""
+    cum = np.logaddexp.accumulate(log_terms)
+    hit = np.flatnonzero((cum > -np.inf) & (log_more[start:] < cum + math.log(1e-3)))
+    if hit.size:
+        return float(cum[hit[0]]), math.exp(log_more[start + hit[0]])
+    return float(cum[-1]), 0.0
+
+
+class TestTruncatedSum:
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(
+        terms=st.lists(st.one_of(st.just(-math.inf), st.floats(-30.0, 0.0)),
+                       min_size=1, max_size=64),
+        start=st.integers(0, 4),
+        masses=st.lists(st.floats(-30.0, 0.0), min_size=68, max_size=68),
+        shift=st.floats(-12.0, 12.0),
+        inf_from=st.integers(0, 68),
+    )
+    # every term -inf, as term 2 at p = 0 (table2 channel 7)
+    @example(terms=[-math.inf] * 12, start=0, masses=[-5.0] * 68, shift=0.0, inf_from=12)
+    # log P(U > u) stays above every running sum: never cut
+    @example(terms=[-1.0] * 12, start=3, masses=[0.0] * 68, shift=0.0, inf_from=68)
+    def test_prefix_cut_equals_full_cut(self, terms, start, masses, shift, inf_from):
+        # log P(U > u) as the mass above u: it falls with u, and is -inf
+        # from some u on
+        log_more = np.logaddexp.accumulate(np.array(masses[::-1]))[::-1] + shift
+        log_more[inf_from:] = -np.inf
+        log_more = log_more[:start + len(terms)]
+        log_terms = np.array(terms)
+        got = bounds._truncated_log_sum(log_terms, start, log_more)
+        assert got == full_truncated_log_sum(log_terms, start, log_more)
+
+
 class TestTruncationTail:
     def test_both_tails_cover_the_gap(self):
         # table2 channel 2 at l = 10: the sum left out (full - total) is
@@ -651,6 +700,12 @@ class TestLargeLengths:
         assert wd.log_counts[1023] == pytest.approx(want, rel=1e-15)
 
 
+def clear_bound_caches():
+    for memo in (weight_distribution, bounds._defect_logs,
+                 bounds._log_binomial_masking_bound, bounds._tail_column):
+        memo.cache_clear()
+
+
 class TestCache:
     def test_arrays_read_only(self):
         wd = weight_distribution(1023, 20, 5, "binomial-approx")
@@ -668,12 +723,60 @@ class TestCache:
         a = weight_distribution(1023, 30, 7, "binomial-approx")
         assert weight_distribution(1023, 30, 7, "binomial-approx") is a
 
+    def test_memoised_arrays_read_only(self):
+        params = params_for(15, 7, 4)
+        wd = WeightDistribution(15, weight_distribution(15, 4, 3, "exact-enumeration").counts,
+                                "exact-enumeration")
+        decoding_failure_bound(params, wd, ChannelParams(0.1, 0.01))
+        counted = bounds._log_masking_bound(params, wd)
+        assert bounds._log_masking_bound(params, wd) is counted
+        memoised = [
+            *bounds._defect_logs(15, 0.1),
+            bounds._log_binomial_masking_bound(15, 4, 3),
+            bounds._tail_column(15, params.t1 + 1),
+            counted,
+        ]
+        for arr in memoised:
+            with pytest.raises(ValueError):
+                arr[0] = 0.0
+
     def test_cold_and_warm_bounds_identical(self):
-        params = params_for(1023, 923, 30)
-        ch = ChannelParams(6e-3, 1e-3)
-        weight_distribution.cache_clear()
-        cold = decoding_failure_bound(
-            params, weight_distribution(1023, 30, 7, "binomial-approx"), ch)
-        warm = decoding_failure_bound(
-            params, weight_distribution(1023, 30, 7, "binomial-approx"), ch)
-        assert cold == warm
+        # the 7 x 11 table2 grid, each point computed with every cache
+        # cleared, then warm channel-major (as allocate runs it) and
+        # split-major (as bound runs it)
+        points = [(c, l) for c in PRESET_CHANNELS for l in range(0, 101, 10)]
+
+        def evaluate(order, clear_each=False):
+            out = {}
+            for cid, l in order:
+                if clear_each:
+                    clear_bound_caches()
+                ch = ChannelParams(*PRESET_CHANNELS[cid])
+                out[cid, l] = _bound_split(params_for(1023, 923, l), ch, "binomial-approx")
+            return out
+
+        cold = evaluate(points, clear_each=True)
+        clear_bound_caches()
+        channel_major = evaluate(points)
+        clear_bound_caches()
+        split_major = evaluate(sorted(points, key=lambda cl: (cl[1], cl[0])))
+        assert cold == channel_major == split_major
+
+    def test_hand_built_distributions_keep_their_own_bounds(self):
+        # same n and method, different counts: each bound follows its own
+        # counts whichever is evaluated first
+        params = params_for(15, 7, 4)
+        ch = ChannelParams(0.1, 0.01)
+        cached = weight_distribution(15, 4, 3, "exact-enumeration")
+        code = [int(c) for c in cached.counts]
+        heavier = code[:3] + [code[3] + 10] + code[4:]
+
+        def bounds_of(*counts):
+            return [decoding_failure_bound(
+                params, WeightDistribution(15, c, "exact-enumeration"), ch) for c in counts]
+
+        code_first, heavier_second = bounds_of(code, heavier)
+        heavier_first, code_second = bounds_of(heavier, code)
+        assert code_first == code_second == decoding_failure_bound(params, cached, ch)
+        assert heavier_first == heavier_second
+        assert heavier_first.p_mask_and_fail > code_first.p_mask_and_fail

@@ -645,12 +645,14 @@ class TestAllocate:
         assert all(c["metric"] > 0 for c in rep["candidates"])
 
     def test_table2_output_survives_cache_clear(self, tmp_path):
-        from plbc.bounds import weight_distribution
+        from plbc import bounds
 
         argv = ["allocate", "--preset", "table2", "--threads", "1", "--out"]
         warm, cold = tmp_path / "warm.json", tmp_path / "cold.json"
         assert main(argv + [str(warm)]) == 0
-        weight_distribution.cache_clear()
+        for memo in (bounds.weight_distribution, bounds._defect_logs,
+                     bounds._log_binomial_masking_bound, bounds._tail_column):
+            memo.cache_clear()
         assert main(argv + [str(cold)]) == 0
         assert warm.read_bytes() == cold.read_bytes()
 
