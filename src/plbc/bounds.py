@@ -15,8 +15,7 @@ Whatever does not depend on the error rate p is memoised in bounded caches
 and read-only, so every caller shares one copy: weight distributions per
 (n, l, d0, method), log P(U = u) and log P(U > u) per (n, epsilon), the
 'binomial-approx' masking bound per (n, l, d0), and the log-binomial column
-of a tail per (n, t).  A counted masking bound is kept on its
-``WeightDistribution``.
+of a tail per (n, t).  A counted masking bound is computed on each call.
 """
 
 from __future__ import annotations
@@ -114,8 +113,9 @@ def _tail_terms(big_n: int, p: float, t: int, n: int) -> np.ndarray:
 
 def _log_tail(big_n: int, p: float, t: int, n: int | None = None) -> float:
     """log P(Bin(big_n, p) >= t): the last entry of ``_log_tails``, from
-    one reduction over the same terms.  ``n`` >= big_n names the column
-    to read, so that tails of several lengths share one."""
+    the same accumulation without the tails of shorter lengths.  ``n`` >=
+    big_n names the column to read, so that tails of several lengths share
+    one."""
     if t <= 0:
         return 0.0
     if t > big_n or p == 0.0:
@@ -123,7 +123,7 @@ def _log_tail(big_n: int, p: float, t: int, n: int | None = None) -> float:
     if p == 1.0:
         return 0.0
     terms = _tail_terms(big_n, p, t, big_n if n is None else n)
-    return float(np.logaddexp.reduce(terms))
+    return float(np.logaddexp.accumulate(terms)[-1])
 
 
 def _log_tails(big_n: int, p: float, t: int) -> np.ndarray:
@@ -382,24 +382,18 @@ def _log_masking_bound(params: PlbcParams, wd: WeightDistribution) -> np.ndarray
     the kernel of G0 restricted to S, an l x u matrix, so N(S) >= 2^(u-l).
     And x_u = sum_w A_w C(u, w) / C(n, w) does not fall with u for any
     nonnegative counts, so x_(l+1) >= 1 is all the clamp needs; counts with
-    x_(l+1) below 1 by more than rounding are no code's: NumericError.  The
-    counted bound is kept, read-only, on ``wd`` for the last l it served:
-    the counts, not (n, l, method), decide it.
+    x_(l+1) below 1 by more than rounding are no code's: NumericError.
     """
     n, l = params.n, params.l
     if wd.method == "binomial-approx":
         return _log_binomial_masking_bound(n, l, params.d0)
     top = l + 1  # <= n, as k >= 1
-    kept = wd.__dict__.get("_masking")
-    if kept is not None and kept[0] == top:
-        return kept[1]
     out = np.zeros(n + 1)
     out[:top + 1] = np.minimum(0.0, _log_masking_sums(wd, top))
     if top < n and out[top] < -1e-9:
         raise NumericError(
             "weight counts give a masking bound of %.6g below 1 at u = l + 1 = %d; "
             "no [n, n-l] code has them" % (math.exp(out[top]), top))
-    wd.__dict__["_masking"] = (top, _read_only(out))
     return out
 
 

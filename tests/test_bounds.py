@@ -147,8 +147,8 @@ class TestBinomials:
         p=st.one_of(st.sampled_from([0.0, 1.0, 0.5]), st.floats(1e-9, 1.0)),
     )
     def test_single_tail_is_last_of_family(self, big_n, longer, t, p):
-        # one reduction over the terms == the running sum's last entry, bit
-        # for bit, also when the binomials come from a longer column
+        # the running sum's last entry, bit for bit, also when the
+        # binomials come from a longer column
         want = bounds._log_tails(big_n, p, t)[-1]
         assert bounds._log_tail(big_n, p, t) == want
         assert bounds._log_tail(big_n, p, t, big_n + longer) == want
@@ -725,16 +725,10 @@ class TestCache:
 
     def test_memoised_arrays_read_only(self):
         params = params_for(15, 7, 4)
-        wd = WeightDistribution(15, weight_distribution(15, 4, 3, "exact-enumeration").counts,
-                                "exact-enumeration")
-        decoding_failure_bound(params, wd, ChannelParams(0.1, 0.01))
-        counted = bounds._log_masking_bound(params, wd)
-        assert bounds._log_masking_bound(params, wd) is counted
         memoised = [
             *bounds._defect_logs(15, 0.1),
             bounds._log_binomial_masking_bound(15, 4, 3),
             bounds._tail_column(15, params.t1 + 1),
-            counted,
         ]
         for arr in memoised:
             with pytest.raises(ValueError):
@@ -761,22 +755,3 @@ class TestCache:
         clear_bound_caches()
         split_major = evaluate(sorted(points, key=lambda cl: (cl[1], cl[0])))
         assert cold == channel_major == split_major
-
-    def test_hand_built_distributions_keep_their_own_bounds(self):
-        # same n and method, different counts: each bound follows its own
-        # counts whichever is evaluated first
-        params = params_for(15, 7, 4)
-        ch = ChannelParams(0.1, 0.01)
-        cached = weight_distribution(15, 4, 3, "exact-enumeration")
-        code = [int(c) for c in cached.counts]
-        heavier = code[:3] + [code[3] + 10] + code[4:]
-
-        def bounds_of(*counts):
-            return [decoding_failure_bound(
-                params, WeightDistribution(15, c, "exact-enumeration"), ch) for c in counts]
-
-        code_first, heavier_second = bounds_of(code, heavier)
-        heavier_first, code_second = bounds_of(heavier, code)
-        assert code_first == code_second == decoding_failure_bound(params, cached, ch)
-        assert heavier_first == heavier_second
-        assert heavier_first.p_mask_and_fail > code_first.p_mask_and_fail
