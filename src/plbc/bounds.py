@@ -11,11 +11,13 @@ or from a summed log-binomial row, and never pass through a float that
 could overflow, so every length the field supports (m <= 16, n up to
 65535) works.
 
-Whatever does not depend on the error rate p is memoised in bounded caches
-and read-only, so every caller shares one copy: weight distributions per
+Arrays that later calls read again are memoised in bounded caches and
+read-only, so every caller shares one copy: weight distributions per
 (n, l, d0, method), log P(U = u) and log P(U > u) per (n, epsilon), the
-'binomial-approx' masking bound per (n, l, d0), and the log-binomial column
-of a tail per (n, t).  A counted masking bound is computed on each call.
+'binomial-approx' masking bound per (n, l, d0), the log-binomial column of
+a tail per (n, t), and the last two tail families per (n, p, t), which
+depend on p: a sweep over the splits of one channel folds the family of
+each threshold once.  A counted masking bound is computed on each call.
 """
 
 from __future__ import annotations
@@ -104,43 +106,24 @@ def _tail_column(n: int, t: int) -> np.ndarray:
     return _read_only(_sum_log_ratios(t - 1 + k, k))
 
 
-def _tail_terms(big_n: int, p: float, t: int, n: int) -> np.ndarray:
-    """log p P(Bin(N', p) = t-1) for N' = t-1..big_n-1, 0 < p < 1, with the
-    binomials read from the column of length n >= big_n."""
-    k = np.arange(big_n - t + 1)  # N' - (t - 1)
-    return _tail_column(n, t)[:k.size] + (t * math.log(p) + k * math.log1p(-p))
-
-
-def _log_tail(big_n: int, p: float, t: int, n: int | None = None) -> float:
-    """log P(Bin(big_n, p) >= t): the last entry of ``_log_tails``, from
-    the same accumulation without the tails of shorter lengths.  ``n`` >=
-    big_n names the column to read, so that tails of several lengths share
-    one."""
-    if t <= 0:
-        return 0.0
-    if t > big_n or p == 0.0:
-        return _NEG_INF
-    if p == 1.0:
-        return 0.0
-    terms = _tail_terms(big_n, p, t, big_n if n is None else n)
-    return float(np.logaddexp.accumulate(terms)[-1])
-
-
+@functools.lru_cache(maxsize=2)
 def _log_tails(big_n: int, p: float, t: int) -> np.ndarray:
-    """log P(Bin(N, p) >= t) for N = 0..big_n.
+    """log P(Bin(N, p) >= t) for N = 0..big_n; read-only and memoised.
 
     The t-th success falls on one of trials t..N, so for N >= t the tail is
     the running sum over N' = t-1..N-1 of p P(Bin(N', p) = t-1), with
-    log C(N', t-1) summed from the ratios N' / (N' - t + 1).
+    log C(N', t-1) summed from the ratios N' / (N' - t + 1).  Its entry N
+    is thus, bit for bit, the last of the family of any length >= N, which
+    lets one family serve every length at its threshold.
     """
     out = np.full(big_n + 1, 0.0 if t <= 0 else _NEG_INF)
-    if t <= 0 or t > big_n or p == 0.0:
-        return out
-    if p == 1.0:
+    if 0 < t <= big_n and p == 1.0:
         out[t:] = 0.0
-        return out
-    np.logaddexp.accumulate(_tail_terms(big_n, p, t, big_n), out=out[t:])
-    return out
+    elif 0 < t <= big_n and 0.0 < p:
+        k = np.arange(big_n - t + 1)  # N' - (t - 1)
+        terms = _tail_column(big_n, t) + (t * math.log(p) + k * math.log1p(-p))
+        np.logaddexp.accumulate(terms, out=out[t:])
+    return _read_only(out)
 
 
 def _log_diagonal_tails(n: int, p: float, t1: int, d0: int) -> np.ndarray:
@@ -152,7 +135,7 @@ def _log_diagonal_tails(n: int, p: float, t1: int, d0: int) -> np.ndarray:
     (>= 0 for every split).  The tail is 1 once tau <= 0.
     """
     out = np.zeros(n - d0 + 1)
-    out[:t1] = _log_tail(n - d0, p, t1, n)
+    out[:t1] = _log_tails(n, p, t1)[n - d0]
     if t1 > 1 and 0.0 < p < 1.0:
         big_d = n - t1 - d0
         k = np.arange(1, t1)
@@ -425,16 +408,22 @@ def _truncated_log_sum(log_terms: np.ndarray, start: int, log_more: np.ndarray):
 
     The sum stops at the first u where log P(U > u) (``log_more``) is below
     log(1e-3) plus the running log-sum.  Returns the log-sum and the
-    left-out P(U > u), 0.0 when the sum was not cut.  The running log-sum is
-    at least the running maximum, so the cut comes no later than where the
-    maximum alone meets the rule, and only that prefix is accumulated.
+    left-out P(U > u), 0.0 when the sum was not cut.  Most sums are cut
+    within a few dozen terms, so the first 64 are searched on their own.
+    Past them, the running log-sum is at least the running maximum, so the
+    cut comes no later than where the maximum alone meets the rule, and
+    only that prefix is accumulated.
     """
     log_more = log_more[start:]
-    peak = np.maximum.accumulate(log_terms)
-    hit = np.flatnonzero((peak > _NEG_INF) & (log_more < peak + _LOG_TRUNC))
-    end = hit[0] + 1 if hit.size else log_terms.size
+    end = min(64, log_terms.size)
     cum = np.logaddexp.accumulate(log_terms[:end])
     hit = np.flatnonzero((cum > _NEG_INF) & (log_more[:end] < cum + _LOG_TRUNC))
+    if not hit.size and end < log_terms.size:
+        peak = np.maximum.accumulate(log_terms)
+        hit = np.flatnonzero((peak > _NEG_INF) & (log_more < peak + _LOG_TRUNC))
+        end = hit[0] + 1 if hit.size else log_terms.size
+        cum = np.logaddexp.accumulate(log_terms[:end])
+        hit = np.flatnonzero((cum > _NEG_INF) & (log_more[:end] < cum + _LOG_TRUNC))
     if hit.size:
         i = hit[0]
         return float(cum[i]), math.exp(log_more[i])
@@ -461,11 +450,11 @@ def decoding_failure_bound(
     """
     n, t1, d0 = params.n, params.t1, params.d0
     if ch.epsilon == 0.0:
-        total = math.exp(_log_tail(n, ch.p, t1 + 1))
+        total = math.exp(_log_tails(n, ch.p, t1 + 1)[n])
         return BoundResult(0.0, total, total, "epsilon-zero",
                            aw_method=wd.method if wd else None)
     if params.l == 0:
-        total = math.exp(_log_tail(n, ch.p_tilde, t1 + 1))
+        total = math.exp(_log_tails(n, ch.p_tilde, t1 + 1)[n])
         return BoundResult(0.0, total, total, "l-zero",
                            aw_method=wd.method if wd else None)
     if wd is None:

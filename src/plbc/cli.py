@@ -281,7 +281,10 @@ def _add_run_args(sp):
     )
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process and shared by every
+    ``main`` call."""
     # a prefix of a long option is an error, not a guess
     no_abbrev = functools.partial(argparse.ArgumentParser, allow_abbrev=False)
     parser = no_abbrev(
@@ -340,8 +343,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
         if args.command == "simulate" and args.trials is None:
             raise ValueError("simulate needs --trials")

@@ -147,11 +147,10 @@ class TestBinomials:
         p=st.one_of(st.sampled_from([0.0, 1.0, 0.5]), st.floats(1e-9, 1.0)),
     )
     def test_single_tail_is_last_of_family(self, big_n, longer, t, p):
-        # the running sum's last entry, bit for bit, also when the
-        # binomials come from a longer column
+        # entry N of a longer family is, bit for bit, the last entry of the
+        # family of length N: the bound reads single tails that way
         want = bounds._log_tails(big_n, p, t)[-1]
-        assert bounds._log_tail(big_n, p, t) == want
-        assert bounds._log_tail(big_n, p, t, big_n + longer) == want
+        assert bounds._log_tails(big_n + longer, p, t)[big_n] == want
 
     def test_diagonal_tails_against_scipy(self):
         # P(Bin(n - u, p) >= t1 + d0 - u) for u = d0..n, edges p = 0 and 1
@@ -619,6 +618,30 @@ def full_truncated_log_sum(log_terms, start, log_more):
     return float(cum[-1]), 0.0
 
 
+def peak_truncated_log_sum(log_terms, start, log_more):
+    """The engine's previous search: the cut of the running maximum over
+    every term, then the accumulation up to it."""
+    log_more = log_more[start:]
+    peak = np.maximum.accumulate(log_terms)
+    hit = np.flatnonzero((peak > -np.inf) & (log_more < peak + math.log(1e-3)))
+    end = hit[0] + 1 if hit.size else log_terms.size
+    cum = np.logaddexp.accumulate(log_terms[:end])
+    hit = np.flatnonzero((cum > -np.inf) & (log_more[:end] < cum + math.log(1e-3)))
+    if hit.size:
+        i = hit[0]
+        return float(cum[i]), math.exp(log_more[i])
+    return float(cum[-1]), 0.0
+
+
+def falling_log_more(rng, size, shift, inf_from):
+    """log of the mass above u for random masses: falls with u, -inf from
+    inf_from on."""
+    masses = rng.uniform(-30.0, 0.0, size)
+    log_more = np.logaddexp.accumulate(masses[::-1])[::-1] + shift
+    log_more[inf_from:] = -np.inf
+    return log_more
+
+
 class TestTruncatedSum:
     @settings(max_examples=300, deadline=None, derandomize=True)
     @given(
@@ -642,6 +665,59 @@ class TestTruncatedSum:
         log_terms = np.array(terms)
         got = bounds._truncated_log_sum(log_terms, start, log_more)
         assert got == full_truncated_log_sum(log_terms, start, log_more)
+
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        size=st.integers(1, 1500),
+        start=st.integers(0, 4),
+        inf_prefix=st.integers(0, 1500),
+        inf_share=st.floats(0.0, 1.0),
+        scale=st.floats(-40.0, 0.0),
+        shift=st.floats(-12.0, 12.0),
+        inf_from=st.integers(0, 1504),
+    )
+    def test_long_sum_cut_equals_full_scan(self, seed, size, start, inf_prefix,
+                                           inf_share, scale, shift, inf_from):
+        # lengths well past the 64 terms searched first, with -inf terms
+        # scattered and as a prefix
+        rng = np.random.default_rng(seed)
+        log_terms = rng.uniform(-30.0, 0.0, size) + scale
+        log_terms[rng.random(size) < inf_share] = -np.inf
+        log_terms[:inf_prefix] = -np.inf
+        log_more = falling_log_more(rng, start + size, shift, inf_from)
+        got = bounds._truncated_log_sum(log_terms, start, log_more)
+        assert got == full_truncated_log_sum(log_terms, start, log_more)
+        assert got == peak_truncated_log_sum(log_terms, start, log_more)
+
+    @pytest.mark.parametrize("case", ["first", "past-prefix", "inf-prefix",
+                                      "never", "all-inf"])
+    def test_cut_lands_where_full_scan_cuts(self, case):
+        size, start = 1200, 2
+        log_terms = np.full(size, -1.0)
+        log_more = np.full(start + size, -100.0)  # cut at the first term
+        cut = 0
+        if case == "past-prefix":
+            # log P(U > u) meets the rule first at u = 300, past the first
+            # 64 terms, and the running maximum only at u = 871
+            cut = 300
+            cum = np.logaddexp.accumulate(log_terms)
+            log_more[start:] = cum[cut] + math.log(1e-3) - 1e-9 - 0.01 * (
+                np.arange(size) - cut)
+        elif case == "inf-prefix":
+            cut = 500
+            log_terms[:cut] = -np.inf
+        elif case == "never":
+            cut = None
+            log_terms[:] = -10.0
+            log_more[:] = 0.0
+        elif case == "all-inf":
+            cut = None
+            log_terms[:] = -np.inf
+        got = bounds._truncated_log_sum(log_terms, start, log_more)
+        assert got == full_truncated_log_sum(log_terms, start, log_more)
+        assert got == peak_truncated_log_sum(log_terms, start, log_more)
+        assert got[1] == (0.0 if cut is None else math.exp(log_more[start + cut]))
 
 
 class TestTruncationTail:
@@ -702,7 +778,8 @@ class TestLargeLengths:
 
 def clear_bound_caches():
     for memo in (weight_distribution, bounds._defect_logs,
-                 bounds._log_binomial_masking_bound, bounds._tail_column):
+                 bounds._log_binomial_masking_bound, bounds._tail_column,
+                 bounds._log_tails):
         memo.cache_clear()
 
 
@@ -729,6 +806,7 @@ class TestCache:
             *bounds._defect_logs(15, 0.1),
             bounds._log_binomial_masking_bound(15, 4, 3),
             bounds._tail_column(15, params.t1 + 1),
+            bounds._log_tails(15, 0.1, params.t1 + 1),
         ]
         for arr in memoised:
             with pytest.raises(ValueError):

@@ -1,11 +1,13 @@
 import json
+import pathlib
+import random
 import time
 
 import pytest
 
 from plbc.allocate import allocate
 from plbc.channel import ChannelParams
-from plbc.cli import main
+from plbc.cli import build_parser, main
 
 GOLDEN_CANDIDATES = """\
 # schema=plbc.candidates.v2
@@ -368,6 +370,49 @@ def test_golden_output(capsys, command, fmt):
     assert out == GOLDEN_OUTPUT[command, fmt]
 
 
+# The paper's table2 sweep of the [1023, 923] code, byte for byte
+GOLDEN_DIR = pathlib.Path(__file__).parent / "golden"
+TABLE2_GOLDEN_ARGV = {
+    "allocate_table2.json": ["allocate", "--preset", "table2", "--format", "json"],
+    "bound_table2.csv": ["bound", "--preset", "table2", "--format", "csv"],
+}
+
+
+@pytest.mark.parametrize("name", sorted(TABLE2_GOLDEN_ARGV))
+def test_table2_golden_output(tmp_path, name):
+    out = tmp_path / name
+    assert main([*TABLE2_GOLDEN_ARGV[name], "--out", str(out)]) == 0
+    assert out.read_bytes() == (GOLDEN_DIR / name).read_bytes()
+
+
+def test_shared_parser_keeps_every_output(capsys):
+    # main parses every argv with one parser: a usage error, then every
+    # golden command in a shuffled order, must leave no state behind
+    def help_texts(parse):
+        texts = []
+        for argv in (["--help"], ["allocate", "--help"]):
+            with pytest.raises(SystemExit) as exc:
+                parse(argv)
+            assert exc.value.code == 0
+            texts.append(capsys.readouterr().out)
+        return texts
+
+    fresh_help = help_texts(build_parser.__wrapped__().parse_args)
+    assert help_texts(main) == fresh_help
+    with pytest.raises(SystemExit) as exc:
+        main(["code", "--n", "15", "--k", "7"])  # --l is required
+    assert exc.value.code == 2
+    cases = sorted(GOLDEN_OUTPUT)
+    random.Random(20261020).shuffle(cases)
+    for command, fmt in cases:
+        fmt_args = [] if command == "code" else ["--format", fmt]
+        rc, out, err = run_cli(capsys, *GOLDEN_ARGV[command], *fmt_args)
+        assert rc == 0, err
+        assert out == GOLDEN_OUTPUT[command, fmt]
+    assert build_parser() is build_parser()
+    assert help_texts(main) == fresh_help
+
+
 class TestCode:
     def test_descriptor(self, capsys):
         rc, out, _ = run_cli(capsys, "code", "--n", "15", "--k", "7", "--l", "4")
@@ -651,7 +696,8 @@ class TestAllocate:
         warm, cold = tmp_path / "warm.json", tmp_path / "cold.json"
         assert main(argv + [str(warm)]) == 0
         for memo in (bounds.weight_distribution, bounds._defect_logs,
-                     bounds._log_binomial_masking_bound, bounds._tail_column):
+                     bounds._log_binomial_masking_bound, bounds._tail_column,
+                     bounds._log_tails):
             memo.cache_clear()
         assert main(argv + [str(cold)]) == 0
         assert warm.read_bytes() == cold.read_bytes()
