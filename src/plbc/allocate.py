@@ -10,13 +10,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from .bch import field_degree
-from .bounds import (
-    BoundResult,
-    capacity_max,
-    capacity_min,
-    decoding_failure_bound,
-    weight_distribution,
-)
+from .bounds import BoundResult, decoding_failure_bound, weight_distribution
 from .channel import ChannelParams
 from .codec import PbchCode, PlbcParams, construct_pbch, params_for
 from .errors import ConstructionError
@@ -32,12 +26,11 @@ __all__ = [
 
 @dataclass(frozen=True)
 class CandidateResult:
-    """One evaluated candidate; ci and note only under the simulation method."""
+    """One evaluated candidate: its metric, and the ``BoundResult`` or
+    ``SimResult`` (with its ``ci95``) that the metric was read from."""
 
     candidate: PlbcParams
     metric: float
-    ci: tuple[float, float] | None = None
-    note: str | None = None
     detail: BoundResult | SimResult | None = field(default=None, compare=False)
 
 
@@ -48,36 +41,14 @@ class AllocationReport:
     results: tuple[CandidateResult, ...]
     best: CandidateResult
 
-    def to_dict(self) -> dict:
-        out = {
-            "channel": {
-                "epsilon": self.channel.epsilon,
-                "p": self.channel.p,
-                "c_min": capacity_min(self.channel),
-                "c_max": capacity_max(self.channel),
-                "p_tilde": self.channel.p_tilde,
-            },
-            "method": self.method,
-            "candidates": [],
-            "best_l": self.best.candidate.l,
-            "best_r": self.best.candidate.r,
-        }
-        for res in self.results:
-            entry = {name: getattr(res.candidate, name) for name in ("l", "r", "d0", "d1")}
-            entry["metric"] = res.metric
-            if res.ci is not None:
-                entry["ci"] = list(res.ci)
-            if res.note is not None:
-                entry["note"] = res.note
-            out["candidates"].append(entry)
-        return out
-
 
 def enumerate_candidates(n: int, k: int) -> list[PlbcParams]:
     """The splits of n - k into multiples l and r of the field degree m that
     ``PlbcParams`` accepts as buildable, l ascending; a ConstructionError
     when none is."""
     m = field_degree(n)
+    if k < 1:
+        raise ValueError("message length k must be >= 1")
     if k > n:
         raise ValueError("k + l exceeds n")
     if (n - k) % m:
@@ -161,11 +132,7 @@ def allocate(
                 construct_pbch(n, k, c.l), ch, trials, seed,
                 threads=threads, stop_after_failures=stop_after_failures,
             )
-            note = "not estimable" if sres.decoding_failures == 0 else None
-            results.append(CandidateResult(
-                c, sres.failure_rate, ci=(sres.ci_low, sres.ci_high),
-                note=note, detail=sres,
-            ))
+            results.append(CandidateResult(c, sres.failure_rate, detail=sres))
     else:
         raise ValueError("unknown allocation method %r" % method)
     best = min(results, key=lambda res: res.metric)

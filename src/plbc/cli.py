@@ -2,8 +2,13 @@
 
 Subcommands: code, candidates, capacity, simulate, bound, allocate.
 Exit codes: 0 success, 2 usage error, 3 construction error, 4 numeric
-error (including float overflow), 5 I/O error.  All numeric output uses 12
-significant digits; CSV output starts with a schema-version comment line.
+error (including float overflow), 5 I/O error.
+
+This module alone defines the output schemas.  Each subcommand builds its
+header and rows, or a JSON document, and hands them to ``_emit``, the one
+writer of command output: CSV starts with a schema-version comment line,
+JSON with a "schema" key, every float has 12 significant digits, and the
+text goes to ``--out`` or stdout.
 """
 
 from __future__ import annotations
@@ -47,12 +52,6 @@ _AW_NAMES = {
 }
 
 
-def _fmt(v) -> str:
-    if isinstance(v, float):
-        return "%.12g" % v
-    return str(v)
-
-
 def _round12(obj):
     """Round every float in a JSON-ready structure to 12 significant digits."""
     if isinstance(obj, float):
@@ -64,31 +63,33 @@ def _round12(obj):
     return obj
 
 
-def _write_text(text: str, out: str | None) -> None:
-    if out:
-        with open(out, "w") as fh:
+def _emit(args, schema: str, header: list[str], rows: list[list], doc=None) -> None:
+    """Write a command's output to ``--out`` or stdout: the one writer.
+
+    CSV is the schema comment line, the header and the rows.  JSON is an
+    object whose "schema" key comes first, followed by ``doc``'s keys, or
+    by "rows" (one object per row) when there is no doc.  ``schema`` is
+    the versioned name after ``plbc.``; every float has 12 significant
+    digits.
+    """
+    if args.format == "json":
+        obj = {"schema": "plbc.%s" % schema}
+        if doc is None:
+            doc = {"rows": [dict(zip(header, row)) for row in rows]}
+        obj.update(doc)
+        text = json.dumps(_round12(obj), indent=2) + "\n"
+    else:
+        lines = ["# schema=plbc.%s" % schema, ",".join(header)]
+        lines += [
+            ",".join("%.12g" % v if isinstance(v, float) else str(v) for v in row)
+            for row in rows
+        ]
+        text = "\n".join(lines) + "\n"
+    if args.out:
+        with open(args.out, "w") as fh:
             fh.write(text)
     else:
         sys.stdout.write(text)
-
-
-def _json_text(obj) -> str:
-    return json.dumps(_round12(obj), indent=2) + "\n"
-
-
-def _emit(args, schema: str, header: list[str], rows: list[list]) -> None:
-    """Write rows as CSV (schema comment line, header) or as JSON objects;
-    schema is the versioned name after ``plbc.``."""
-    if args.format == "json":
-        obj = {
-            "schema": "plbc.%s" % schema,
-            "rows": [dict(zip(header, row)) for row in rows],
-        }
-        _write_text(_json_text(obj), args.out)
-        return
-    lines = ["# schema=plbc.%s" % schema, ",".join(header)]
-    lines += [",".join(_fmt(v) for v in row) for row in rows]
-    _write_text("\n".join(lines) + "\n", args.out)
 
 
 def _default_threads() -> int:
@@ -134,9 +135,13 @@ def _sweep_params(args):
 def _cmd_code(args) -> int:
     (params,) = _sweep_params(args)
     code = construct_pbch(params.n, params.k, params.l)
-    desc = {"schema": "plbc.code.v1"}
-    desc.update(code.to_descriptor(include_matrices=args.matrices))
-    _write_text(_json_text(desc), args.out)
+    doc = {name: getattr(params, name) for name in ("n", "k", "l", "r", "m", "d0", "d1")}
+    doc["g_poly"] = format(code.g_poly, "x")
+    doc["p_poly"] = format(code.p_poly, "x")
+    if args.matrices:
+        for name in ("gen_message", "gen_mask", "parity", "msg_inverse"):
+            doc[name] = [format(v, "x") for v in getattr(code, name).row_ints()]
+    _emit(args, "code.v1", [], [], doc)
     return 0
 
 
@@ -204,39 +209,46 @@ def _cmd_bound(args) -> int:
 def _cmd_allocate(args) -> int:
     threads = args.threads if args.threads is not None else _default_threads()
     stop = args.stop_after_failures or None
-    reports = []
+    rows, reports = [], []
     for cid, ch in _channels(args):
         rep = allocate(
             args.n, args.k, ch, args.method,
             trials=args.trials, seed=args.seed, threads=threads,
             stop_after_failures=stop, aw_method=_AW_NAMES[args.aw],
         )
-        reports.append((cid, rep))
-    if args.format == "csv":
-        rows = []
-        for cid, rep in reports:
-            for res in rep.results:
-                c = res.candidate
-                ci_lo, ci_hi = res.ci if res.ci else ("", "")
-                rows.append([
-                    cid, c.l, c.r, c.d0, c.d1, res.metric,
-                    ci_lo, ci_hi, res.note or "",
-                    1 if res is rep.best else 0,
-                ])
-        header = [
-            "channel_id", "l", "r", "d0", "d1", "metric",
-            "ci_lo", "ci_hi", "note", "best",
-        ]
-        _emit(args, "allocate.v1", header, rows)
-    else:
-        obj = {
-            "schema": "plbc.allocate.v1",
-            "reports": [
-                dict({"channel_id": cid}, **rep.to_dict())
-                for cid, rep in reports
-            ],
-        }
-        _write_text(_json_text(obj), args.out)
+        entries = []
+        for res in rep.results:
+            c = res.candidate
+            entry = {"l": c.l, "r": c.r, "d0": c.d0, "d1": c.d1, "metric": res.metric}
+            ci_lo = ci_hi = note = ""
+            if rep.method == "simulation":
+                ci_lo, ci_hi = entry["ci"] = res.detail.ci95
+                if res.detail.decoding_failures == 0:
+                    note = entry["note"] = "not estimable"
+            entries.append(entry)
+            rows.append([
+                cid, c.l, c.r, c.d0, c.d1, res.metric,
+                ci_lo, ci_hi, note, 1 if res is rep.best else 0,
+            ])
+        reports.append({
+            "channel_id": cid,
+            "channel": {
+                "epsilon": ch.epsilon,
+                "p": ch.p,
+                "c_min": capacity_min(ch),
+                "c_max": capacity_max(ch),
+                "p_tilde": ch.p_tilde,
+            },
+            "method": rep.method,
+            "candidates": entries,
+            "best_l": rep.best.candidate.l,
+            "best_r": rep.best.candidate.r,
+        })
+    header = [
+        "channel_id", "l", "r", "d0", "d1", "metric",
+        "ci_lo", "ci_hi", "note", "best",
+    ]
+    _emit(args, "allocate.v1", header, rows, {"reports": reports})
     return 0
 
 
@@ -298,7 +310,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_code_args(sp, l_required=True)
     sp.add_argument("--matrices", action="store_true", help="include full matrices")
     sp.add_argument("--out", default=None, help="output path (default stdout)")
-    sp.set_defaults(func=_cmd_code)
+    sp.set_defaults(func=_cmd_code, format="json")
 
     sp = sub.add_parser("candidates", help="list all (l, r) allocation candidates")
     _add_code_args(sp, with_l=False)

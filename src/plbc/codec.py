@@ -200,17 +200,6 @@ class PbchCode:
         """T, the k x n message inverse (see ``message_inverse``)."""
         return message_inverse(self.params.n, self.g_poly, self.p_poly)
 
-    def to_descriptor(self, include_matrices: bool = False) -> dict:
-        """JSON-friendly description; polynomials as hex coefficient ints."""
-        p = self.params
-        out = {name: getattr(p, name) for name in ("n", "k", "l", "r", "m", "d0", "d1")}
-        out["g_poly"] = format(self.g_poly, "x")
-        out["p_poly"] = format(self.p_poly, "x")
-        if include_matrices:
-            for name in ("gen_message", "gen_mask", "parity", "msg_inverse"):
-                out[name] = [format(v, "x") for v in getattr(self, name).row_ints()]
-        return out
-
     def __repr__(self) -> str:
         p = self.params
         return "PbchCode(n=%d, k=%d, l=%d, d0=%d, d1=%d)" % (p.n, p.k, p.l, p.d0, p.d1)

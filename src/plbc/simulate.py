@@ -244,12 +244,22 @@ def _worker_count(threads: int, blocks: int) -> int:
     return max(1, min(threads, blocks, os.cpu_count() or 1))
 
 
-def _block_results(code, ch, seed, stream, blocks, workers):
-    """Each block's counts in block order, computed here or by a pool."""
+def _block_results(code, ch, seed, stream, trials, workers):
+    """Each block's counts in block order, computed here or by a pool.
+
+    The pool is handed blocks as results come back, about two per worker
+    ahead, so an early stop never queues, nor pays for, the blocks after
+    it.
+    """
+    blocks = (
+        (lo, min(lo + BLOCK_TRIALS, trials))
+        for lo in range(0, trials, BLOCK_TRIALS)
+    )
     if workers == 1:
         for lo, hi in blocks:
             yield _block_counts(code, ch, seed, stream, lo, hi)
         return
+    from collections import deque
     from concurrent.futures import ProcessPoolExecutor
 
     pool = ProcessPoolExecutor(
@@ -258,11 +268,15 @@ def _block_results(code, ch, seed, stream, blocks, workers):
         initargs=(code, ch, seed, stream),
     )
     try:
-        futures = [pool.submit(_worker_block, b) for b in blocks]
-        for fut in futures:
-            yield fut.result()
+        pending = deque()
+        for bounds in blocks:
+            pending.append(pool.submit(_worker_block, bounds))
+            if len(pending) == 2 * workers:
+                yield pending.popleft().result()
+        while pending:
+            yield pending.popleft().result()
     finally:
-        # an early stop leaves blocks queued: drop them, do not run them
+        # an early stop leaves blocks in flight: drop the queued ones
         pool.shutdown(cancel_futures=True)
 
 
@@ -289,19 +303,15 @@ def run_trials(
     if stop_after_failures is not None and stop_after_failures < 0:
         raise ValueError("stop_after_failures must be nonnegative")
     stop_at = stop_after_failures or 0
-    blocks = [
-        (lo, min(lo + BLOCK_TRIALS, trials))
-        for lo in range(0, trials, BLOCK_TRIALS)
-    ]
     t0 = time.perf_counter()
     mask = dec = joint = executed = 0
-    workers = _worker_count(threads, len(blocks))
-    with closing(_block_results(code, ch, seed, stream, blocks, workers)) as counts:
-        for (lo, hi), (bm, bd, bj) in zip(blocks, counts):
+    workers = _worker_count(threads, -(-trials // BLOCK_TRIALS))
+    with closing(_block_results(code, ch, seed, stream, trials, workers)) as counts:
+        for bm, bd, bj in counts:
             mask += bm
             dec += bd
             joint += bj
-            executed = hi
+            executed = min(executed + BLOCK_TRIALS, trials)
             if stop_at and dec >= stop_at:
                 break
     elapsed = time.perf_counter() - t0

@@ -385,6 +385,22 @@ def test_table2_golden_output(tmp_path, name):
     assert out.read_bytes() == (GOLDEN_DIR / name).read_bytes()
 
 
+# allocate --method simulation on a family whose rows are estimable, "not
+# estimable" (no decoding failure), then estimable: the ci and note fields
+SIMULATION_GOLDEN_ARGV = [
+    "allocate", "--n", "15", "--k", "7", "--epsilon", "0.05", "--p", "0.001",
+    "--method", "simulation", "--trials", "1024", "--seed", "3", "--threads", "1",
+]
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_simulation_allocate_golden_output(tmp_path, fmt):
+    name = "allocate_simulation.%s" % fmt
+    out = tmp_path / name
+    assert main([*SIMULATION_GOLDEN_ARGV, "--format", fmt, "--out", str(out)]) == 0
+    assert out.read_bytes() == (GOLDEN_DIR / name).read_bytes()
+
+
 def test_shared_parser_keeps_every_output(capsys):
     # main parses every argv with one parser: a usage error, then every
     # golden command in a shuffled order, must leave no state behind
@@ -421,6 +437,21 @@ class TestCode:
         assert desc["schema"] == "plbc.code.v1"
         assert desc["d0"] == 3 and desc["d1"] == 3
         assert desc["g_poly"] == "13"
+
+    def test_matrices_row_counts(self, capsys):
+        argv = ["code", "--n", "15", "--k", "7", "--l", "4"]
+        matrices = {"gen_message": 7, "gen_mask": 4, "parity": 4, "msg_inverse": 7}
+        rc, out, _ = run_cli(capsys, *argv)
+        assert rc == 0
+        desc = json.loads(out)
+        assert set(desc) == {
+            "schema", "n", "k", "l", "r", "m", "d0", "d1", "g_poly", "p_poly"
+        }
+        assert (desc["n"], desc["k"], desc["l"]) == (15, 7, 4)
+        rc, out, _ = run_cli(capsys, *argv, "--matrices")
+        assert rc == 0
+        full = json.loads(out)
+        assert {name: len(full[name]) for name in matrices} == matrices
 
     def test_n1023_candidate_l50(self, capsys):
         rc, out, _ = run_cli(capsys, "code", "--n", "1023", "--k", "923", "--l", "50")
@@ -662,6 +693,34 @@ class TestAllocate:
         assert rep["method"] == "bound"
         assert len(rep["candidates"]) == 3
 
+    def test_report_keys_and_best(self, capsys):
+        rc, out, err = run_cli(
+            capsys, "allocate", "--n", "1023", "--k", "923",
+            "--epsilon", "6e-3", "--p", "1e-3",
+        )
+        assert rc == 0, err
+        rep = json.loads(out)["reports"][0]
+        assert set(rep["channel"]) == {"epsilon", "p", "c_min", "c_max", "p_tilde"}
+        assert (rep["best_l"], rep["best_r"]) == (30, 70)
+        assert len(rep["candidates"]) == 11
+        for entry in rep["candidates"]:
+            assert set(entry) == {"l", "r", "d0", "d1", "metric"}
+
+    def test_simulation_entries_have_ci(self, capsys):
+        rc, out, err = run_cli(
+            capsys, "allocate", "--n", "15", "--k", "7", "--epsilon", "0.3",
+            "--p", "0", "--method", "simulation", "--trials", "1024",
+            "--seed", "3", "--threads", "1",
+        )
+        assert rc == 0, err
+        rep = json.loads(out)["reports"][0]
+        assert rep["method"] == "simulation"
+        for entry in rep["candidates"]:
+            lo, hi = entry["ci"]
+            assert lo <= entry["metric"] <= hi
+            # a candidate without failures has metric 0 and is flagged
+            assert entry.get("note") == ("not estimable" if entry["metric"] == 0 else None)
+
     def test_csv_format(self, capsys):
         rc, out, _ = run_cli(
             capsys, "allocate", "--n", "15", "--k", "7",
@@ -797,6 +856,18 @@ class TestSplitExistence:
         rc, out, err = run_cli(capsys, *argv, "--n", "15", "--k", "19")
         assert (rc, out) == (2, "")
         assert "k + l exceeds n" in err
+
+
+    @pytest.mark.parametrize("k", ["0", "-3"])
+    @pytest.mark.parametrize("argv", [
+        ["candidates"],
+        ["bound", *_CH],
+        ["allocate", *_CH, "--threads", "1"],
+    ])
+    def test_k_below_one_exit2(self, capsys, argv, k):
+        rc, out, err = run_cli(capsys, *argv, "--n", "15", "--k", k)
+        assert (rc, out) == (2, "")
+        assert "message length k must be >= 1" in err
 
 
 class TestThreadsEnv:

@@ -320,16 +320,6 @@ class TestConstruction:
         with pytest.raises(ValueError):
             verify_distances(code1023_l20)
 
-    def test_descriptor(self, code15):
-        d = code15.to_descriptor()
-        assert d["n"] == 15 and d["k"] == 7 and d["l"] == 4
-        assert d["d0"] == 3 and d["d1"] == 3
-        assert d["g_poly"] == "13"
-        assert "gen_message" not in d
-        full = code15.to_descriptor(include_matrices=True)
-        assert len(full["gen_message"]) == 7
-        assert len(full["gen_mask"]) == 4
-
     def test_construct_1023(self, code1023_l20):
         p = code1023_l20.params
         assert (p.l, p.r, p.d0, p.d1) == (20, 80, 5, 17)

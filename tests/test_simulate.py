@@ -1,3 +1,4 @@
+import dataclasses
 from statistics import NormalDist
 
 import numpy as np
@@ -288,6 +289,28 @@ class TestRunTrials:
         b = run_trials(code15, ch, 8192, seed=9, stop_after_failures=10, threads=4)
         assert a.trials == b.trials
         assert a.decoding_failures == b.decoding_failures
+
+    def test_early_stop_submits_only_blocks_near_the_stop(self, code15, monkeypatch):
+        # the pool is fed about two blocks per worker ahead of the results,
+        # so a run that stops after a few blocks costs the same whatever
+        # trial count was requested
+        from concurrent.futures import ProcessPoolExecutor
+
+        submitted = []
+        submit = ProcessPoolExecutor.submit
+
+        def spy(self, fn, *args, **kwargs):
+            submitted.append(args)
+            return submit(self, fn, *args, **kwargs)
+
+        monkeypatch.setattr(ProcessPoolExecutor, "submit", spy)
+        monkeypatch.setattr("plbc.simulate.os.cpu_count", lambda: 2)
+        ch = ChannelParams(0.1, 0.02)
+        a = run_trials(code15, ch, 10**8, seed=0, stop_after_failures=100, threads=1)
+        b = run_trials(code15, ch, 10**8, seed=0, stop_after_failures=100, threads=2)
+        assert a == dataclasses.replace(b, elapsed_s=a.elapsed_s)
+        assert a.trials == 3 * BLOCK_TRIALS
+        assert 0 < len(submitted) <= a.trials // BLOCK_TRIALS + 2 * 2
 
     def test_validation(self, code15):
         with pytest.raises(ValueError):
