@@ -36,7 +36,7 @@ from .gf2 import (
     BitVector,
     GF2m,
     _pack,
-    _solve_aug_rows,
+    _solve_two_step,
     _span_weight_counts,
     _transpose_words,
     _unpack,
@@ -328,7 +328,9 @@ def _encode_ints(
     their stuck values (its other bits are ignored).  Row j of the masking
     system is G0's column at the j-th stuck cell with the mismatch between
     w(x) g(x) and the stuck value there as its right-hand side at bit l;
-    ``_solve_mask`` picks d, and c = w(x) g(x) + d(x) p(x).
+    d solves all the rows (step 1) or, when they are inconsistent, the first
+    d0 - 1, which always admit a solution (step 2), and
+    c = w(x) g(x) + d(x) p(x).
     """
     n, l = code.params.n, code.params.l
     c = 0
@@ -338,41 +340,13 @@ def _encode_ints(
     mismatch = (c ^ values).to_bytes((n + 7) >> 3, "little")
     cols = code._mask_cols
     aug = [cols[j] | (mismatch[j >> 3] >> (j & 7) & 1) << l for j in stuck]
-    d, unmasked, step = _solve_mask(code, aug)
+    d, unmasked, step = _solve_two_step(aug, l, max(code.params.d0 - 1, 0))
     rest = d
     while rest:
         low = rest & -rest
         c ^= code.p_poly << (low.bit_length() - 1)
         rest ^= low
     return c, d, unmasked, step
-
-
-def _solve_mask(code: PbchCode, aug: list[int]) -> tuple[int, int, int]:
-    """Masking vector d, stuck cells left unmasked, and the step used.
-
-    Step 1 solves the whole system.  When that is inconsistent, which needs
-    more than d0 - 1 rows, step 2 solves the first d0 - 1 rows, which always
-    admit a solution, and leaves the others to the decoder.
-    """
-    l = code.params.l
-    d = _solve_aug_rows(aug, l)
-    if d is not None:
-        return d, 0, 1
-    d = _solve_aug_rows(aug[:max(code.params.d0 - 1, 0)], l)
-    if d is None:
-        raise AssertionError("restricted masking system must be solvable")
-    return d, _residual_weight(d, aug, l), 2
-
-
-def _residual_weight(d: int, aug: list[int], l: int) -> int:
-    rhs = 1 << l
-    count = 0
-    for row in aug:
-        acc = 1 if row & rhs else 0
-        if d and (row & (rhs - 1)):
-            acc ^= (d & row & (rhs - 1)).bit_count() & 1
-        count += acc
-    return count
 
 
 def _check_encode_args(code: PbchCode, w: BitVector, s: DefectVector) -> None:

@@ -345,18 +345,23 @@ class BitMatrix:
 # row spaces: elimination and enumeration
 # ---------------------------------------------------------------------------
 
-def _eliminate(rows: list[int], n_cols: int) -> list[int]:
-    """Gauss-Jordan elimination of int rows in place over bit columns
-    [0, n_cols); returns the pivot columns.
+def rref(mat: BitMatrix, n_pivot_cols: int | None = None) -> tuple[BitMatrix, list[int]]:
+    """Reduced row echelon form over the first ``n_pivot_cols`` columns.
 
-    The pivot is the first row at or below the current one with the column
-    bit set, and it is eliminated from every other row, above and below, so
-    pivot row i ends up the only row with bit pivots[i] set.
+    Returns the reduced matrix and the pivot column list; pivot columns end
+    up as unit columns.  Gauss-Jordan: the pivot is the first row at or
+    below the current one with the column bit set, and it is eliminated
+    from every other row, above and below.
     """
+    if n_pivot_cols is None:
+        n_pivot_cols = mat.cols
+    if n_pivot_cols > mat.cols:
+        raise ValueError("pivot column count exceeds matrix width")
+    rows = mat.row_ints()
     nrows = len(rows)
     pivots: list[int] = []
     prow = 0
-    for col in range(n_cols):
+    for col in range(n_pivot_cols):
         if prow == nrows:
             break
         bit = 1 << col
@@ -372,41 +377,49 @@ def _eliminate(rows: list[int], n_cols: int) -> list[int]:
                 rows[i] ^= pr
         pivots.append(col)
         prow += 1
-    return pivots
-
-
-def rref(mat: BitMatrix, n_pivot_cols: int | None = None) -> tuple[BitMatrix, list[int]]:
-    """Reduced row echelon form over the first ``n_pivot_cols`` columns.
-
-    Returns the reduced matrix and the pivot column list; pivot columns end
-    up as unit columns.
-    """
-    if n_pivot_cols is None:
-        n_pivot_cols = mat.cols
-    if n_pivot_cols > mat.cols:
-        raise ValueError("pivot column count exceeds matrix width")
-    rows = mat.row_ints()
-    pivots = _eliminate(rows, n_pivot_cols)
     return BitMatrix(rows, mat.cols), pivots
 
 
-def _solve_aug_rows(rows: list[int], width: int) -> int | None:
-    """Solve a GF(2) system given as augmented rows (RHS at bit ``width``).
+def _solve_two_step(rows: list[int], width: int, first: int) -> tuple[int, int, int]:
+    """Two-step solve of augmented rows (RHS at bit ``width``): (x, misses, step).
 
-    Returns a solution with free variables set to zero, or None when the
-    system is inconsistent.
+    Step 1 is a solution x of all the rows, with 0 rows missed.  When they
+    are inconsistent, step 2 is the solution x of the first ``first`` rows,
+    which must be consistent, and misses counts the rows it does not
+    satisfy.  Free variables are 0 in both.
+
+    One pass reads the rows in order and keeps the pivot rows read so far
+    fully reduced, the pivot being a row's lowest set bit: that is the one
+    reduced row echelon form of those rows, so the solution at any point
+    is the pivot bits of the rows with the RHS set.  The step-2 solution
+    is read after ``first`` rows, and the pass stops at the first row that
+    reduces to 0 = 1.
     """
-    rows = list(rows)
-    pivots = _eliminate(rows, width)
-    npiv = len(pivots)
     rhs = 1 << width
-    x = 0
+    basis: dict[int, int] = {}  # pivot bit -> its row
+    pivots = x2 = 0
     for i, row in enumerate(rows):
-        if row & rhs:
-            if i >= npiv:  # a zero row with RHS 1
-                return None
-            x |= 1 << pivots[i]
-    return x
+        if i == first:
+            x2 = sum(bit for bit, b in basis.items() if b & rhs)
+        hits = row & pivots
+        while hits:
+            bit = hits & -hits
+            row ^= basis[bit]
+            hits ^= bit
+        if row & (rhs - 1):
+            bit = row & -row
+            for p, b in basis.items():
+                if b & bit:
+                    basis[p] = b ^ row
+            basis[bit] = row
+            pivots |= bit
+        elif row & rhs:
+            if i < first:
+                raise AssertionError("restricted masking system must be solvable")
+            # row r misses x2 when the parity of r & x2 differs from its RHS
+            both = x2 | rhs
+            return x2, sum((r & both).bit_count() & 1 for r in rows[first:]), 2
+    return sum(bit for bit, b in basis.items() if b & rhs), 0, 1
 
 
 _SPAN_BLOCK_WORDS = 1 << 16  # words of pair XORs held at once (512 KiB)

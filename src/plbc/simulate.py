@@ -197,13 +197,18 @@ def _raw_words(seed: int, stream: int, start: int, stop: int, width: int) -> np.
     """The first ``width`` raw Philox words of trials start..stop-1, a row each.
 
     One generator is reset to trial t's fresh state for each row: the same
-    streams as trial_rng(seed, t, stream), built once.
+    streams as trial_rng(seed, t, stream), built once.  The state holds
+    plain-int lists, which the setter reads faster than numpy arrays.
     """
     bg = trial_rng(seed, start, stream).bit_generator
     fresh = bg.state
+    state = fresh["state"]
+    counter = state["counter"] = state["counter"].tolist()
+    state["key"] = state["key"].tolist()
+    fresh["buffer"] = fresh["buffer"].tolist()
     raw = np.empty((stop - start, width), dtype=np.uint64)
     for i, t in enumerate(range(start, stop)):
-        fresh["state"]["counter"][3] = t
+        counter[3] = t
         bg.state = fresh
         raw[i] = bg.random_raw(width)
     return raw

@@ -36,7 +36,7 @@ from plbc.gf2 import (
     BitMatrix,
     BitVector,
     _pack,
-    _solve_aug_rows,
+    _solve_two_step,
     _transpose_words,
     _unpack,
     poly_divmod,
@@ -395,7 +395,8 @@ class TestMasking:
             stuck = [i for i in range(15) if s.mask.value >> i & 1]
             aug = [sum((row >> i & 1) << j for j, row in enumerate(rows))
                    | (mismatch >> i & 1) << l for i in stuck]
-            d = _solve_aug_rows(aug[:min(code15.params.d0 - 1, len(aug))], l)
+            d, _, step = _solve_two_step(aug[:min(code15.params.d0 - 1, len(aug))], l, 0)
+            assert step == 1  # the first d0 - 1 rows always admit a solution
             c = c1
             for j, row in enumerate(rows):
                 if d >> j & 1:
@@ -433,6 +434,105 @@ class TestMasking:
             encode(code15, BitVector(8), DefectVector.all_clear(15))
         with pytest.raises(ValueError):
             encode(code15, BitVector(7), DefectVector.all_clear(14))
+
+
+# The two-solve masking of an earlier release, kept verbatim as the reference
+# for the one-pass solver: Gauss-Jordan on the whole system, then on the
+# first d0 - 1 rows, then a count of the rows the step-2 solution misses.
+
+def _ref_eliminate(rows: list[int], n_cols: int) -> list[int]:
+    nrows = len(rows)
+    pivots: list[int] = []
+    prow = 0
+    for col in range(n_cols):
+        if prow == nrows:
+            break
+        bit = 1 << col
+        for piv in range(prow, nrows):
+            if rows[piv] & bit:
+                break
+        else:
+            continue
+        rows[prow], rows[piv] = rows[piv], rows[prow]
+        pr = rows[prow]
+        for i in range(nrows):
+            if i != prow and rows[i] & bit:
+                rows[i] ^= pr
+        pivots.append(col)
+        prow += 1
+    return pivots
+
+
+def _ref_solve_aug_rows(rows: list[int], width: int) -> int | None:
+    rows = list(rows)
+    pivots = _ref_eliminate(rows, width)
+    npiv = len(pivots)
+    rhs = 1 << width
+    x = 0
+    for i, row in enumerate(rows):
+        if row & rhs:
+            if i >= npiv:  # a zero row with RHS 1
+                return None
+            x |= 1 << pivots[i]
+    return x
+
+
+def _ref_solve_mask(code: PbchCode, aug: list[int]) -> tuple[int, int, int]:
+    l = code.params.l
+    d = _ref_solve_aug_rows(aug, l)
+    if d is not None:
+        return d, 0, 1
+    d = _ref_solve_aug_rows(aug[:max(code.params.d0 - 1, 0)], l)
+    if d is None:
+        raise AssertionError("restricted masking system must be solvable")
+    return d, _ref_residual_weight(d, aug, l), 2
+
+
+def _ref_residual_weight(d: int, aug: list[int], l: int) -> int:
+    rhs = 1 << l
+    count = 0
+    for row in aug:
+        acc = 1 if row & rhs else 0
+        if d and (row & (rhs - 1)):
+            acc ^= (d & row & (rhs - 1)).bit_count() & 1
+        count += acc
+    return count
+
+
+@pytest.mark.parametrize("n,k,l", [(15, 7, 4), (15, 11, 0), (63, 45, 12), (1023, 923, 20)])
+def test_masking_matches_two_solve_reference(n, k, l):
+    # the system is built here from G1 and G0, not from the codec's tables:
+    # row j is G0's column at the j-th stuck cell, with the mismatch between
+    # w G1 and the stuck value there at bit l
+    code = construct_pbch(n, k, l)
+    d0 = code.params.d0
+    g1, g0 = code.gen_message.row_ints(), code.gen_mask.row_ints()
+    rng = np.random.default_rng(n + l)
+    seen = set()
+    for trial in range(600):
+        u = min(trial % (3 * l + 7), n)  # every u from 0 to 3l + 6 in turn
+        pos = sorted(int(i) for i in rng.choice(n, size=u, replace=False))
+        vals = [int(v) for v in rng.integers(0, 2, size=u)]
+        w = int.from_bytes(rng.bytes((k + 7) // 8), "little") % (1 << k)
+        s = DefectVector.from_positions(n, pos, vals)
+        res = encode(code, BitVector(k, w), s)[1]
+        c1 = 0
+        for i, row in enumerate(g1):
+            if w >> i & 1:
+                c1 ^= row
+        mismatch = c1 ^ s.values.value
+        aug = [sum((row >> j & 1) << i for i, row in enumerate(g0)) | (mismatch >> j & 1) << l
+               for j in pos]
+        assert (res.d.value, res.unmasked, res.step_used) == _ref_solve_mask(code, aug)
+        seen.add((u == 0, u <= d0 - 1, res.step_used, res.unmasked > 1))
+    # u = 0, 0 < u <= d0 - 1 (when d0 > 1), and both steps, with step 2
+    # leaving more than one cell, all came up
+    want = {(True, True, 1)} if l else {(True, False, 1)}
+    if d0 > 1:
+        want.add((False, True, 1))
+    want |= {(False, False, 1), (False, False, 2)}
+    assert want <= {key[:3] for key in seen}
+    assert (False, False, 2, True) in seen
 
 
 class TestDecode:

@@ -10,7 +10,7 @@ from plbc.gf2 import (
     BitMatrix,
     BitVector,
     _pack,
-    _solve_aug_rows,
+    _solve_two_step,
     _span_weight_counts,
     _transpose_words,
     _unpack,
@@ -311,7 +311,7 @@ class TestRref:
     def test_partial_pivot_columns(self):
         # pivots only in the first n_pivot_cols columns: they increase, each
         # is a unit column, the rows past them are zero there, and the bit
-        # at n_pivot_cols reads off the masking solver's solution
+        # at n_pivot_cols reads off the masking solver's step-1 solution
         rng = np.random.default_rng(43)
         for _ in range(200):
             rows, cols = int(rng.integers(1, 14)), int(rng.integers(2, 40))
@@ -331,7 +331,11 @@ class TestRref:
                 want = None
             else:
                 want = sum(1 << col for row, col in zip(out, pivots) if row & rhs)
-            assert _solve_aug_rows(ints, width) == want
+            x, misses, step = _solve_two_step(ints, width, 0)
+            assert (x if step == 1 else None) == want
+            # no row is solved first, so step 2 is x = 0 missing every RHS 1
+            rhs_rows = sum(row >> width & 1 for row in ints)
+            assert (misses, step == 2) == ((rhs_rows, True) if want is None else (0, False))
 
     def test_pivot_count_above_width_rejected(self):
         with pytest.raises(ValueError):
@@ -339,15 +343,16 @@ class TestRref:
 
 
 def solve_by_aug_rows(a, b):
-    """x with x * a = b through the masking solver, or None if inconsistent.
+    """x with x * a = b through the masking solver's step 1, or None if
+    inconsistent.
 
     Column j of ``a`` with b_j at bit a.rows is one augmented row.
     """
     rows = a.row_ints()
     cols = [sum(((row >> j) & 1) << i for i, row in enumerate(rows)) for j in range(a.cols)]
     aug = [cols[j] | ((b.value >> j) & 1) << a.rows for j in range(a.cols)]
-    x = _solve_aug_rows(aug, a.rows)
-    return None if x is None else BitVector.from_int(a.rows, x)
+    x, _, step = _solve_two_step(aug, a.rows, 0)
+    return BitVector.from_int(a.rows, x) if step == 1 else None
 
 
 class TestSolveRowSystem:
