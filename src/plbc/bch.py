@@ -114,14 +114,15 @@ def _check_designed_distance(n: int, delta: int) -> None:
 def minimal_polynomial(j: int, field: GF2m) -> int:
     """Minimal polynomial of alpha^j over GF(2), as a plain int."""
     coset = cyclotomic_coset(j, field.n)
-    # expand prod_{i in coset} (x + alpha^i) with GF(2^m) coefficients
+    exp, log = field.exp, field.log
+    # expand prod_{i in coset} (x + alpha^i) with GF(2^m) coefficients; a
+    # member is below n, so c alpha^i = exp[log c + i] stays in the table
     coeffs = [1]
     for e in coset.members:
-        root = field.alpha_pow(e)
-        nxt = [0] * (len(coeffs) + 1)
+        nxt = [0] + coeffs
         for d, c in enumerate(coeffs):
-            nxt[d + 1] ^= c
-            nxt[d] ^= field.mul(c, root)
+            if c:
+                nxt[d] ^= exp[log[c] + e]
         coeffs = nxt
     poly = 0
     for d, c in enumerate(coeffs):

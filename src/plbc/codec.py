@@ -35,6 +35,8 @@ from .gf2 import (
     BitMatrix,
     BitVector,
     GF2m,
+    _byte_table,
+    _divide_bytes,
     _pack,
     _solve_two_step,
     _span_weight_counts,
@@ -148,9 +150,10 @@ class PbchCode:
 
     The code is its polynomials: g_poly generates C; hstar_poly and p_poly
     are the masking code's (h*, p) from ``masking_polys``.  The field, H's
-    rows, G0's columns and the message-extraction tables are derived once,
-    from these fields, when the code is created; the dense matrices G1, G0,
-    H and T are views built on first read.
+    rows, G0's columns, q = p / g and g's byte table (its 256 multiples by
+    a byte), which message extraction divides by, are derived once, from
+    these fields, when the code is created; the dense matrices G1, G0, H
+    and T are views built on first read.
     """
 
     params: PlbcParams
@@ -172,13 +175,10 @@ class PbchCode:
         # rows of H in blocks of m, block j giving S_(2j+1)
         h_rows = bch_parity_check(n, params.d1 or 1).row_ints()
         self._h_blocks = [h_rows[j:j + m] for j in range(0, params.r, m)]
-        # T c = ((c mod x^K) u mod x^K) mod q (see message_inverse), with u
-        # times every byte value tabulated for a product by bytes of c
-        self._q = poly_divmod(self.p_poly, g)[0]
-        u = _series_inverse(g, params.k + l)
-        self._u_bytes = [0]
-        for b in range(1, 256):
-            self._u_bytes.append(self._u_bytes[b >> 1] << 1 ^ (u if b & 1 else 0))
+        # T c is the series quotient of c mod x^K by g, mod q = p / g (see
+        # _extract_message); q comes from the same table, as g divides p
+        self._g_table = _byte_table(g)
+        self._q = _divide_bytes(self.p_poly, self._g_table, (params.k >> 3) + 1)[0]
 
     @cached_property
     def gen_message(self) -> BitMatrix:
@@ -211,9 +211,12 @@ def message_inverse(n: int, g: int, p: int) -> BitMatrix:
     Returns the k x n matrix T with G1 T^T = I and G0 T^T = 0 that the
     systematic elimination over [G1 | I_k ; G0 | 0] gives, built from the
     polynomials alone.  With K = n - deg g = k + l, q = p / g and
-    u = 1/g mod x^K, T sends y to ((y mod x^K) u mod x^K) mod q: column
-    i < K is t_i = (x^i u mod x^K) mod q, and the columns from K on are 0.
-    The t_i follow t_0 = u mod q, t_{i+1} = x t_i mod q + u_{K-1-i} (x^K mod q).
+    u = 1/g mod x^K, T sends y to ((y mod x^K) u mod x^K) mod q, the value
+    ``_extract_message`` reads off one word: column i < K is
+    t_i = (x^i u mod x^K) mod q, and the columns from K on are 0.  The t_i
+    follow t_0 = u mod q, t_{i+1} = x t_i mod q + u_{K-1-i} (x^K mod q).
+    Every division here, u included, goes byte-wise through ``gf2``'s
+    table-driven loop; ``PbchCode.msg_inverse`` calls this on first read.
     """
     q, rem = poly_divmod(p, g)
     if rem:
@@ -239,14 +242,8 @@ def message_inverse(n: int, g: int, p: int) -> BitMatrix:
 
 
 def _series_inverse(g: int, big_k: int) -> int:
-    """u = 1/g mod x^K for g(0) = 1, by K steps of series division."""
-    u, acc = 0, 1
-    for i in range(big_k):
-        if acc & 1:
-            u |= 1 << i
-            acc ^= g
-        acc >>= 1
-    return u
+    """u = 1/g mod x^K for g(0) = 1, by K/8 byte steps of series division."""
+    return _divide_bytes(1, _byte_table(g), (big_k + 7) >> 3)[0] & ((1 << big_k) - 1)
 
 
 def masking_polys(n: int, l: int, d0: int) -> tuple[int, int]:
@@ -291,24 +288,32 @@ def construct_pbch(n: int, k: int, l: int) -> PbchCode:
 def _check_code_identities(code: PbchCode) -> None:
     """Polynomial identity checks run once per construction.
 
-    With K = k + l, q = ``code._q`` and u = ``code._u_bytes[1]``, it checks
-    (1) q g = p with deg q = k, (2) u g = 1 mod x^K, (3) H g = 0 and
-    (4) p reciprocal(h*) = x^n + 1.  T c = (c u mod x^K) mod q, in both
-    ``_extract_message`` and ``message_inverse``.  By (2) a message row
-    g x^i (i < k) maps to x^i mod q, which is x^i as deg q = k (1): G1 T^T
-    = I.  A masking row p x^i = q g x^i (i < l) maps to q x^i mod q = 0, as
-    deg(q x^i) < K: G0 T^T = 0.  Row j m + b of H holds bit b of
+    With K = k + l, q = ``code._q`` and g's byte table ``code._g_table``,
+    it checks (1) q g = p with deg q = k, (2) entry x of the table is
+    (b, b g >> 8) with b g = x mod x^8, for every x < 256, (3) H g = 0 and
+    (4) p reciprocal(h*) = x^n + 1.  By (2), ``_extract_message``'s byte
+    steps give the series quotient s of c mod x^K by g, so s g = c mod x^K
+    and s = (c mod x^K) u mod x^K for u = 1/g mod x^K: T c = s mod q, in
+    both ``_extract_message`` and ``message_inverse``.  A message row g x^i
+    (i < k) has s = x^i, which is x^i mod q as deg q = k (1): G1 T^T = I.
+    A masking row p x^i = q g x^i (i < l) has s = q x^i, as deg(q x^i) < K,
+    so it maps to 0: G0 T^T = 0.  Row j m + b of H holds bit b of
     alpha^((2j+1)s) at position s, so H sends a word f of degree < n to the
     values f(alpha^(2j+1)); every row of G1 and G0 is g times a polynomial,
     of degree < n, so (3) gives H [G1; G0]^T = 0.  (4) makes p = (x^n - 1)/h
     for h the reciprocal of h*, so the code with parity check G0 is <h*>.
     """
     p = code.params
-    g, q, u = code.g_poly, code._q, code._u_bytes[1]
+    g, q = code.g_poly, code._q
     if q.bit_length() - 1 != p.k or poly_mul(q, g) != code.p_poly:
         raise ConstructionError("q g != p with deg q = k")
-    if poly_mul(u, g) & ((1 << (p.k + p.l)) - 1) != 1:
-        raise ConstructionError("u g != 1 mod x^K")
+    mults = [0]  # b g for b < 256: the sum of g x^i over the bits i of b
+    for i in range(8):
+        mults += [m ^ g << i for m in mults]
+    table = code._g_table
+    if len(table) != 256 or [mults[b] for b, _ in table] != [
+            high << 8 | x for x, (_, high) in enumerate(table)]:
+        raise ConstructionError("g's byte table entry x != (b, b g >> 8) with b g = x mod x^8")
     if any(_syndromes(code, g)):
         raise ConstructionError("H g != 0")
     if poly_mul(code.p_poly, poly_reciprocal(code.hstar_poly)) != (1 << p.n) | 1:
@@ -448,14 +453,21 @@ def _chien_roots(code: PbchCode, sigma: list[int]) -> list[int]:
 
 
 def _extract_message(code: PbchCode, c: int) -> int:
-    """The message T c read off a word, from the polynomials of T."""
+    """The message T c read off a word, in time linear in K = k + l.
+
+    T c = ((c mod x^K) u mod x^K) mod q (see ``message_inverse``).  The
+    product with u = 1/g mod x^K is the series quotient s of c mod x^K by g,
+    read through g's byte table a byte per step; s has degree below K and
+    q degree k, so s mod q takes at most l bit steps.
+    """
     big_k = code.params.k + code.params.l
     low = (1 << big_k) - 1
-    prod = 0
-    for j, byte in enumerate((c & low).to_bytes((big_k + 7) >> 3, "little")):
-        if byte:
-            prod ^= code._u_bytes[byte] << 8 * j
-    return poly_divmod(prod & low, code._q)[1]
+    s = _divide_bytes(c & low, code._g_table, (big_k + 7) >> 3)[0] & low
+    q = code._q
+    dq = q.bit_length()
+    while (ds := s.bit_length()) >= dq:
+        s ^= q << (ds - dq)
+    return s
 
 
 def decode(code: PbchCode, y: BitVector) -> DecodeOutcome:

@@ -69,28 +69,74 @@ def poly_mul(a: int, b: int) -> int:
 
 
 def poly_divmod(num: int, den: int) -> tuple[int, int]:
-    """Quotient and remainder of binary polynomial long division."""
+    """Quotient and remainder of binary polynomial long division.
+
+    The division runs on the reciprocals, low-order first through
+    ``_divide_bytes``: with d = deg den, b quotient bytes and num read in
+    w = d + 8 b coefficients, num = Q den + R turns into
+    x^(w-1) num(1/x) = Q' rec(den) + x^(8 b) R', where Q' is Q reversed in
+    8 b coefficients and R' is R reversed in d.
+    """
     if num < 0 or den < 0:
         raise ValueError("polynomials are nonnegative ints")
     if den == 0:
         raise ZeroDivisionError("polynomial division by zero")
-    dd = den.bit_length()
-    quo = 0
-    rem = num
-    while rem.bit_length() >= dd:
-        shift = rem.bit_length() - dd
-        quo |= 1 << shift
-        rem ^= den << shift
-    return quo, rem
+    deg = den.bit_length() - 1
+    nbytes = (num.bit_length() - deg + 7) >> 3
+    if nbytes <= 0:
+        return 0, num
+    rev_quo, rev_rem = _divide_bytes(
+        _reverse(num, deg + 8 * nbytes), _byte_table(poly_reciprocal(den)), nbytes)
+    return _reverse(rev_quo, 8 * nbytes), _reverse(rev_rem, deg)
+
+
+def _byte_table(den: int) -> tuple[tuple[int, int], ...]:
+    """The 256 byte multiples of a divisor with den(0) = 1, for ``_divide_bytes``.
+
+    Entry x is (b, b den >> 8) for the one b < 256 with b den = x mod x^8;
+    there is one, as den(0) = 1 makes b -> b den mod x^8 invertible.  For
+    den(0) = 0 it is not, and the entries no multiple reaches stay (0, 0):
+    that is no divisor's table, which ``codec._check_code_identities``
+    refuses for a code's g.
+    """
+    mults = [0]  # b den for b < 2^(i+1): those below 2^i, then den x^i plus each
+    for i in range(8):
+        mults += [m ^ den << i for m in mults]
+    table = [(0, 0)] * 256
+    for b, m in enumerate(mults):
+        table[m & 0xFF] = (b, m >> 8)
+    return tuple(table)
+
+
+def _divide_bytes(num: int, table, nbytes: int) -> tuple[int, int]:
+    """Series division of num by the divisor of ``table``, low-order first.
+
+    Returns (quo, rest) with num = quo den + x^(8 nbytes) rest and
+    deg quo < 8 nbytes, so quo = num / den mod x^(8 nbytes), and rest = 0
+    exactly when den divides num with that quotient.  Each step takes the
+    next byte of num, reads from the table the quotient byte b that clears
+    it, and keeps only (register + b den) >> 8, below x^(deg den).
+    """
+    out = []
+    reg = 0
+    for byte in (num & ((1 << 8 * nbytes) - 1)).to_bytes(nbytes, "little"):
+        b, high = table[(reg ^ byte) & 0xFF]
+        out.append(b)
+        reg = (reg >> 8) ^ high
+    return int.from_bytes(bytes(out), "little"), (num >> 8 * nbytes) ^ reg
+
+
+def _reverse(p: int, width: int) -> int:
+    """x^(width-1) p(1/x) for p below x^width: the low ``width``
+    coefficients of p in reverse order."""
+    return int(format(p, "0%db" % width)[::-1], 2) if width else 0
 
 
 def poly_reciprocal(p: int) -> int:
     """Reverse the coefficients of p: x^deg(p) * p(1/x)."""
     if p < 0:
         raise ValueError("polynomials are nonnegative ints")
-    if p == 0:
-        return 0
-    return int(format(p, "b")[::-1], 2)
+    return _reverse(p, p.bit_length())
 
 
 def poly_eval(p: int, x: int, field: "GF2m") -> int:

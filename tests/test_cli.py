@@ -1,3 +1,4 @@
+import hashlib
 import json
 import pathlib
 import random
@@ -399,6 +400,27 @@ def test_simulation_allocate_golden_output(tmp_path, fmt):
     out = tmp_path / name
     assert main([*SIMULATION_GOLDEN_ARGV, "--format", fmt, "--out", str(out)]) == 0
     assert out.read_bytes() == (GOLDEN_DIR / name).read_bytes()
+
+
+# `plbc code` stdout at three sizes, pinned by sha256 in code.sha256 (the CI
+# entry-point step checks the same digests with sha256sum -c): every
+# polynomial and, with --matrices, G1, G0, H and T bit for bit
+CODE_DIGEST_ARGV = {
+    "code-1023-923-20-matrices.json": ["1023", "923", "20", "--matrices"],
+    "code-2047-1937-22-matrices.json": ["2047", "1937", "22", "--matrices"],
+    "code-65535-65503-16.json": ["65535", "65503", "16"],
+}
+
+
+@pytest.mark.parametrize("name", sorted(CODE_DIGEST_ARGV))
+def test_code_output_digest(capsys, name):
+    digests = dict(reversed(line.split("  "))
+                   for line in (GOLDEN_DIR / "code.sha256").read_text().splitlines())
+    assert set(digests) == set(CODE_DIGEST_ARGV)
+    n, k, l, *flags = CODE_DIGEST_ARGV[name]
+    rc, out, err = run_cli(capsys, "code", "--n", n, "--k", k, "--l", l, *flags)
+    assert rc == 0, err
+    assert hashlib.sha256(out.encode()).hexdigest() == digests[name]
 
 
 def test_shared_parser_keeps_every_output(capsys):

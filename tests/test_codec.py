@@ -805,10 +805,13 @@ class TestIdentityChecks:
         tap = g.bit_length() - 1
         h_blocks = [list(block) for block in code15._h_blocks]
         h_blocks[0][1] ^= 1 << tap  # row 1 of H
+        g_table = list(code15._g_table)
+        b, high = g_table[0x5A]
+        g_table[0x5A] = (b, high ^ 1 << 2)  # bit 10 of that byte multiple
         for bad, what in (
             (with_attrs(_q=code15._q ^ 1), "q g != p"),
             (dataclasses.replace(code15, p_poly=p8, hstar_poly=hstar8), "deg q = k"),
-            (with_attrs(_u_bytes=[0, code15._u_bytes[1] ^ 1 << 3]), "u g != 1"),
+            (with_attrs(_g_table=tuple(g_table)), "byte table"),
             (with_attrs(_h_blocks=h_blocks), "H g != 0"),
             (dataclasses.replace(code15, p_poly=code15.p_poly ^ g), r"reciprocal\(h\*\)"),
         ):
